@@ -1,4 +1,4 @@
-"""Extension — memory-mapped columnar cache + vectorized render path.
+"""Extension — memory-mapped sidecar cache + vectorized render path.
 
 Mapping: docs/paper-mapping.md (Section VI-B-c / Fig. 21 extensions).
 
@@ -9,7 +9,7 @@ quantifies the two halves of the zero-copy interactive path on a
 synthetic million-event trace:
 
 * **cache reopen vs. cold parse** — ``read_trace(path, cache=True)``
-  maps the ``.ostc`` columnar sidecar back instead of re-parsing the
+  maps the ``.ostc`` sidecar back instead of re-parsing the
   trace file; required to be at least 5x faster (in practice orders of
   magnitude), with the mapped store indistinguishable from the parsed
   one;
@@ -17,9 +17,9 @@ synthetic million-event trace:
   zoom/pan script rendering counter overlays and discrete-event
   markers through the batched ``searchsorted``/``segment_minmax``
   kernels and the memoized min/max trees, against the original
-  per-pixel/per-event loops; required to be at least 10x faster with
-  bit-identical framebuffers across the object, columnar and
-  memory-mapped stores.
+  per-pixel/per-event loops (:mod:`repro.render.reference`); required
+  to be at least 10x faster with bit-identical framebuffers on the
+  parsed and the memory-mapped store.
 
 The persisted render pyramids (ISSUE 8) add two latency ceilings on
 the same trace:
@@ -49,10 +49,11 @@ import pytest
 
 from bench_json import record
 from figutils import write_result
-from repro.core import anomalies, correlation, traces_equal
+from repro import render
+from repro.core import anomalies, correlation, reference, traces_equal
 from repro.core.statistics import interval_report
-from repro.render import (Framebuffer, TimelineView, render_counter,
-                          render_discrete_events)
+from repro.render import Framebuffer, TimelineView, render_counter
+from repro.render import reference as render_reference
 from repro.trace_format import read_trace, write_synthetic_trace
 
 _EVENTS = {"small": 60_000, "default": 1_000_000, "paper": 4_000_000}
@@ -89,15 +90,17 @@ def _frame_views(trace, frames=12):
     return views
 
 
-def _render_frames(store, views, vectorized):
-    """Render every frame of the script; returns the framebuffers."""
+def _render_frames(store, views, renderers):
+    """Render every frame of the script with the ``render_counter`` and
+    ``render_discrete_events`` of ``renderers`` (the production
+    :mod:`repro.render` kernels or :mod:`repro.render.reference`);
+    returns the framebuffers."""
     frames = []
     for view in views:
         fb = Framebuffer(view.width, view.height)
         for core in RENDER_CORES:
-            render_counter(store, 0, view, fb, core=core,
-                           vectorized=vectorized)
-        render_discrete_events(store, view, fb, vectorized=vectorized)
+            renderers.render_counter(store, 0, view, fb, core=core)
+        renderers.render_discrete_events(store, view, fb)
         frames.append(fb.pixels)
     return frames
 
@@ -106,7 +109,7 @@ def test_cache_reopen_vs_cold_parse(scale, interactive_trace):
     """Tentpole criterion: reopening through the mapped sidecar must
     beat re-parsing the trace file by >= 5x (scale-gated)."""
     path, records = interactive_trace
-    cold_seconds, parsed = _timed(read_trace, path, columnar=True)
+    cold_seconds, parsed = _timed(read_trace, path)
     write_seconds, first = _timed(read_trace, path, cache=True)
     reopen_seconds = min(_timed(read_trace, path, cache=True)[0]
                          for __ in range(5))
@@ -117,7 +120,7 @@ def test_cache_reopen_vs_cold_parse(scale, interactive_trace):
         assert traces_equal(mapped, parsed)
     speedup = cold_seconds / reopen_seconds
     write_result("ext_interactive_cache", [
-        "Extension: memory-mapped columnar cache (.ostc sidecar),",
+        "Extension: memory-mapped sidecar cache (.ostc),",
         "Section VI-B-c taken to disk: reopen maps the per-core",
         "arrays instead of re-parsing the trace file.",
         "trace: {} records".format(records),
@@ -142,28 +145,27 @@ def test_cache_reopen_vs_cold_parse(scale, interactive_trace):
 def test_vectorized_frame_loop(scale, interactive_trace):
     """Tentpole criterion: the vectorized zoom/pan frame loop must
     beat the scalar per-pixel/per-event reference by >= 10x
-    (scale-gated), with bit-identical framebuffers on the object,
-    columnar and memory-mapped stores."""
+    (scale-gated), with bit-identical framebuffers on the parsed and
+    the memory-mapped store."""
     path, __ = interactive_trace
     read_trace(path, cache=True)              # ensure the sidecar
     mapped = read_trace(path, cache=True)     # the mmap-backed store
-    columnar = read_trace(path, columnar=True)
-    objects = columnar.to_objects()
+    parsed = read_trace(path)
     views = _frame_views(mapped)
 
-    scalar_seconds, scalar_frames = _timed(_render_frames, columnar,
-                                           views, False)
-    _render_frames(mapped, views, True)       # warm the memoized trees
-    vector_seconds = min(_timed(_render_frames, mapped, views, True)[0]
+    scalar_seconds, scalar_frames = _timed(_render_frames, parsed,
+                                           views, render_reference)
+    _render_frames(mapped, views, render)     # warm the memoized trees
+    vector_seconds = min(_timed(_render_frames, mapped, views,
+                                render)[0]
                          for __ in range(5))
-    vector_frames = _render_frames(mapped, views, True)
+    vector_frames = _render_frames(mapped, views, render)
 
     for scalar_fb, vector_fb in zip(scalar_frames, vector_frames):
         assert np.array_equal(scalar_fb, vector_fb)
-    for store in (columnar, objects):
-        for reference_fb, fb in zip(vector_frames,
-                                    _render_frames(store, views, True)):
-            assert np.array_equal(reference_fb, fb)
+    for reference_fb, fb in zip(vector_frames,
+                                _render_frames(parsed, views, render)):
+        assert np.array_equal(reference_fb, fb)
 
     per_frame = vector_seconds / len(views)
     speedup = scalar_seconds / vector_seconds
@@ -178,7 +180,7 @@ def test_vectorized_frame_loop(scale, interactive_trace):
             vector_seconds, 1e3 * per_frame),
         "frame-loop speedup: {:.0f}x (required: >= 10x at default "
         "scale)".format(speedup),
-        "framebuffers bit-identical across object/columnar/mmap: True",
+        "framebuffers bit-identical across parsed/mmap stores: True",
     ])
     record("frame_loop", {
         "scale": scale, "frames": len(views),
@@ -289,22 +291,21 @@ def test_deep_zoom_frame(scale, interactive_trace):
 
 def test_analysis_identical_across_stores(scale, interactive_trace):
     """The vectorized analysis outputs (anomaly scan, per-task counter
-    attribution) are bit-identical on the object, columnar and
-    memory-mapped stores."""
+    attribution) are bit-identical on the parsed and the memory-mapped
+    store, and the attribution matches the scalar reference."""
     path, __ = interactive_trace
     read_trace(path, cache=True)
     mapped = read_trace(path, cache=True)
-    columnar = read_trace(path, columnar=True)
-    objects = columnar.to_objects()
-    expected_scan = anomalies.scan(columnar)
-    __, expected_increase = correlation.counter_increase_per_task(
-        columnar, 0)
-    for store in (mapped, objects):
-        assert anomalies.scan(store) == expected_scan
+    parsed = read_trace(path)
+    expected_scan = anomalies.scan(parsed)
+    __, expected_increase = reference.counter_increase_per_task(parsed,
+                                                                 0)
+    assert anomalies.scan(mapped) == expected_scan
+    for store in (parsed, mapped):
         __, increases = correlation.counter_increase_per_task(store, 0)
         assert np.array_equal(increases, expected_increase)
     write_result("ext_interactive_parity", [
         "Anomaly scan and per-task counter attribution bit-identical",
-        "across object, columnar and memory-mapped stores: True",
+        "across parsed and memory-mapped stores: True",
         "findings: {}".format(len(expected_scan)),
     ])

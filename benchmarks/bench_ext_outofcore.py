@@ -10,9 +10,10 @@ on a multi-million-event synthetic trace:
   the indexed path must touch a small fraction of the file's bytes;
 * the sharded map-reduce statistics pass vs. the serial streaming
   pass — identical results, bounded memory, parallel throughput;
-* full-trace statistics on the columnar store (vectorized array
-  passes) vs. the object-model path (iterating per-event dataclasses)
-  — bit-identical results, required to be at least 5x faster.
+* full-trace statistics on the lane store (vectorized array passes)
+  vs. the object-model reference (:mod:`repro.core.reference`,
+  iterating per-event dataclasses) — bit-identical results, required
+  to be at least 5x faster.
 """
 
 import os
@@ -105,44 +106,43 @@ def _object_model_statistics(trace):
             reference.task_duration_histogram(trace, bins=20))
 
 
-def _columnar_statistics(trace):
+def _vectorized_statistics(trace):
     """The same statistics as vectorized array passes."""
     return (statistics.state_time_summary(trace),
             statistics.average_parallelism(trace),
             statistics.task_duration_histogram(trace, bins=20))
 
 
-def test_columnar_vs_object_statistics(big_trace):
-    """Tentpole criterion: full-trace statistics on the columnar store
-    must be at least 5x faster than the object-model path, with
+def test_store_vs_object_statistics(big_trace):
+    """Tentpole criterion: full-trace statistics on the lane store
+    must be at least 5x faster than the object-model reference, with
     bit-identical results.  (Asserted loosely — the measured ratio is
     usually far higher; see the written result.)"""
     path, __, __bounds = big_trace
-    columnar = read_trace(path, columnar=True)
-    trace = columnar.to_objects()
+    trace = read_trace(path)
 
     t0 = time.perf_counter()
     object_results = _object_model_statistics(trace)
     object_seconds = time.perf_counter() - t0
 
-    columnar_seconds = min(
-        _timed(_columnar_statistics, columnar)[0] for __ in range(5))
-    columnar_results = _columnar_statistics(columnar)
+    store_seconds = min(
+        _timed(_vectorized_statistics, trace)[0] for __ in range(5))
+    store_results = _vectorized_statistics(trace)
 
-    assert object_results[0] == columnar_results[0]
-    assert object_results[1] == columnar_results[1]
-    assert np.array_equal(object_results[2][0], columnar_results[2][0])
-    assert np.array_equal(object_results[2][1], columnar_results[2][1])
+    assert object_results[0] == store_results[0]
+    assert object_results[1] == store_results[1]
+    assert np.array_equal(object_results[2][0], store_results[2][0])
+    assert np.array_equal(object_results[2][1], store_results[2][1])
 
-    speedup = object_seconds / columnar_seconds
-    write_result("ext_columnar_statistics", [
-        "Extension: columnar store (one structured array per core and",
+    speedup = object_seconds / store_seconds
+    write_result("ext_vectorized_statistics", [
+        "Extension: lane store (one structured array per core and",
         "per record kind) vs. the object-model dataclass iteration,",
         "full-trace statistics (state summary, parallelism, histogram)",
         "trace: {} states, {} tasks".format(len(trace.states),
                                             len(trace.tasks)),
         "object model: {:.3f} s".format(object_seconds),
-        "columnar:     {:.4f} s".format(columnar_seconds),
+        "lane store:   {:.4f} s".format(store_seconds),
         "speedup: {:.0f}x (required: >= 5x), results bit-identical"
         .format(speedup),
     ])

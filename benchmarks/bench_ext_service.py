@@ -13,9 +13,10 @@ threads, real JSON:
   session on the same 1M-event trace, hammer the ``stats`` endpoint
   through persistent connections; requests/sec plus p50/p99 request
   latency are recorded;
-* **per-request-reopen baseline** — the same server in
-  ``reopen_per_request=True`` mode (every request parses the file,
-  the naive one-open-per-request design) serves the same clients;
+* **per-request-reopen baseline** — :class:`ParsePerRequestService`,
+  the same handlers over a "pool" that parses the file on every
+  request (the naive one-open-per-request design), serves the same
+  clients;
 * **the floor** — pooled must beat reopen by >= 5x
   (``pr10/service_throughput/pool_speedup``, enforced by
   ``tools/perf_gate.py``; skipped on 1-CPU runners, where a
@@ -34,8 +35,10 @@ import pytest
 
 from bench_json import record
 from figutils import write_result
-from repro.service import ServiceClient, start_server
+from repro.service import (MappedCachePool, PoolEntry, ServiceClient,
+                           TraceService, start_server)
 from repro.trace_format import read_trace
+from repro.trace_format.cache import source_stamp
 from repro.trace_format.synthesize import write_synthetic_trace
 
 #: Event records per scale.  The default is the 1M-event trace the
@@ -51,6 +54,28 @@ POOLED_REQUESTS = 8
 
 #: Requests/sec floor multiplier: pooled vs. per-request reopen.
 SPEEDUP_FLOOR = 5.0
+
+
+class _ParsePerRequestPool(MappedCachePool):
+    """A pool that keeps nothing: every acquisition parses the trace
+    file into a private store (no sidecar, no sharing)."""
+
+    def entry(self, path):
+        path = str(path)
+        with self._lock:
+            self.misses += 1
+        return PoolEntry(path=path, trace=read_trace(path),
+                         stamp=source_stamp(path))
+
+
+class ParsePerRequestService(TraceService):
+    """The baseline server: the production request handlers over
+    :class:`_ParsePerRequestPool`, so ``open``, every per-session
+    request and ``diff`` re-parse their traces from scratch."""
+
+    def __init__(self, **options):
+        super().__init__(**options)
+        self.pool = _ParsePerRequestPool()
 
 
 @pytest.fixture(scope="module")
@@ -136,8 +161,8 @@ def test_service_throughput(scale, service_trace):
     assert pool_counters["resident"] == 1
     assert pool_counters["misses"] == 1
 
-    baseline_server = start_server(width=512, height=128,
-                                   reopen_per_request=True, cache=False)
+    baseline_server = start_server(
+        service=ParsePerRequestService(width=512, height=128))
     try:
         # One request per client: every single one re-parses the
         # trace, which is the point of the baseline.  At most two in

@@ -18,7 +18,7 @@ Run:  python examples/anomaly_hunt.py
 """
 
 from repro.core import TaskTypeFilter, correlate_counters, scan
-from repro.experiments import kmeans_trace, seidel_trace
+from repro.analysis.experiments import kmeans_trace, seidel_trace
 
 
 def main():

@@ -13,9 +13,10 @@ walks the full pipeline in twelve steps:
    pass, the sharded parallel equivalent, and a seek-to-window
    extraction through the chunk index — the paths that keep working
    when the trace no longer fits in RAM (docs/architecture.md);
-7. convert to the *columnar store* — one structured array per core
-   per record kind — and run the same statistics on it, vectorized;
-8. write the *memory-mapped columnar cache* (the ``.ostc`` sidecar)
+7. look inside the *lane store* — one structured array per core per
+   record kind — and check its vectorized statistics against the
+   plain-Python reference implementations;
+8. write the *memory-mapped sidecar cache* (the ``.ostc`` file)
    and reopen the trace through it: the second open maps the arrays
    back instead of re-parsing, so an interactive session restarts in
    milliseconds;
@@ -48,7 +49,8 @@ import time
 
 from repro.analysis import parallel_streaming_statistics
 from repro.core import (WorkerState, average_parallelism, interval_report,
-                        reconstruct_task_graph, state_count_series,
+                        reconstruct_task_graph, reference,
+                        state_count_series, state_time_summary,
                         traces_equal)
 from repro.render import StateMode, TimelineView, render_timeline
 from repro.runtime import (Machine, RandomStealScheduler, TraceCollector,
@@ -126,22 +128,22 @@ def main(output_dir="."):
           .format(len(window.tasks),
                   scan.bytes_read / os.path.getsize(indexed_path)))
 
-    # 7. The columnar store: the paper's "one array per core and per
-    #    type of event" as numpy structured arrays.  Conversion is
-    #    lossless both ways, files load straight into it, and every
-    #    analysis accepts either store with identical results.
-    columnar = trace.to_columnar()
-    print("\ncolumnar store:", repr(columnar))
+    # 7. The lane store: the paper's "one array per core and per type
+    #    of event" as numpy structured arrays.  The tracer and the file
+    #    readers fill it directly, and its vectorized statistics equal
+    #    the plain-Python reference implementations exactly.
+    print("\nlane store:", repr(trace))
     print("core 0 executed {} tasks, first lane entry: {}".format(
-        len(columnar.tasks.lane(0)), columnar.tasks.lane(0)[:1]))
-    same = interval_report(columnar).describe() \
-        == interval_report(trace).describe()
-    print("columnar statistics identical to object statistics:", same)
-    reloaded_columnar = read_trace(indexed_path, columnar=True)
-    print("columnar reload matches conversion:",
-          traces_equal(reloaded_columnar, columnar))
+        len(trace.tasks.lane(0)), trace.tasks.lane(0)[:1]))
+    same = (state_time_summary(trace)
+            == reference.state_time_summary(trace)
+            and average_parallelism(trace)
+            == reference.average_parallelism(trace))
+    print("statistics identical to the reference:", same)
+    print("file reload matches the traced store:",
+          traces_equal(read_trace(indexed_path), trace))
 
-    # 8. The memory-mapped columnar cache: the first cache-enabled
+    # 8. The memory-mapped sidecar cache: the first cache-enabled
     #    open parses once and writes the .ostc sidecar; every later
     #    open maps it back without parsing (and a windowed query
     #    touches only the pages its binary-searched slices cover).
@@ -151,7 +153,7 @@ def main(output_dir="."):
     reopen_ms = 1e3 * (time.perf_counter() - t0)
     print("\nmapped cache sidecar:", default_cache_path(indexed_path))
     print("cache reopen in {:.1f} ms; matches parsed store: {}".format(
-        reopen_ms, traces_equal(mapped, columnar)))
+        reopen_ms, traces_equal(mapped, trace)))
     window = mapped.slice_time_window(trace.begin,
                                       trace.begin + trace.duration // 10)
     print("zero-copy 10% window: {} tasks".format(len(window.tasks)))
@@ -188,7 +190,6 @@ def main(output_dir="."):
     #     formats.  Paraver drops memory accesses (documented lossy),
     #     so the parity check compares statistics; the Chrome JSON
     #     round trip is exact, so it checks full store equality.
-    from repro.core import state_time_summary
     from repro.trace_format import (detect_source, export_chrome,
                                     export_paraver, ingest_trace)
     prv_path = "{}/quickstart.prv".format(output_dir)

@@ -18,7 +18,7 @@ import sys
 
 from repro.core import (average_remote_fraction, communication_matrix,
                         locality_fraction)
-from repro.experiments import seidel_trace
+from repro.analysis.experiments import seidel_trace
 from repro.render import (NumaHeatmapMode, NumaMode, TimelineView,
                           matrix_to_text, render_timeline)
 

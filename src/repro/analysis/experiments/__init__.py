@@ -3,7 +3,7 @@
 The comparative layer the paper's evaluation implies: run or ingest N
 traces (parameter sweeps over workloads, schedulers and block sizes —
 Figs. 12–19), analyze them through a worker pool that opens each file
-via the memory-mapped columnar cache, aggregate statistics across
+via the memory-mapped sidecar cache, aggregate statistics across
 traces, diff a candidate against a baseline with configurable
 tolerances, and render side-by-side/overlay comparison panels.
 
@@ -11,8 +11,7 @@ Modules:
 
 * :mod:`~repro.analysis.experiments.harness` — the single-run
   harness (scale presets, run-time pairs, per-workload trace
-  builders); also importable as ``repro.experiments`` for
-  compatibility;
+  builders);
 * :mod:`~repro.analysis.experiments.suite` — sweep specs, the
   durable suite runner and per-trace summaries;
 * :mod:`~repro.analysis.experiments.queue` — the SQLite job journal

@@ -29,7 +29,7 @@ from ...trace_format.streaming import (StreamingStatistics,
                                        streaming_statistics)
 
 
-def merged_statistics(paths, columnar=True):
+def merged_statistics(paths):
     """One :class:`StreamingStatistics` over the union of N files.
 
     Each file is folded into its own accumulator and the partials are
@@ -38,11 +38,11 @@ def merged_statistics(paths, columnar=True):
     """
     merged = StreamingStatistics()
     for path in paths:
-        merged.merge(streaming_statistics(str(path), columnar=columnar))
+        merged.merge(streaming_statistics(str(path)))
     return merged
 
 
-def merged_task_histogram(paths, bins, value_range, columnar=True):
+def merged_task_histogram(paths, bins, value_range):
     """Task-duration histogram over the union of N files; returns
     ``(edges, counts)`` with the fixed edges shared by every file.
     Each file goes through :func:`repro.trace_format.streaming.
@@ -52,13 +52,12 @@ def merged_task_histogram(paths, bins, value_range, columnar=True):
     merged = TaskHistogramAccumulator(bins, value_range)
     for path in paths:
         __, counts = streaming_task_histogram(str(path), bins,
-                                              value_range,
-                                              columnar=columnar)
+                                              value_range)
         merged.counts += counts
     return merged.edges, merged.counts
 
 
-def merged_comm_matrix(paths, columnar=True):
+def merged_comm_matrix(paths):
     """Summed core-to-core communication-byte matrix over N files.
 
     Every file must share one topology (the matrices are added
@@ -67,8 +66,7 @@ def merged_comm_matrix(paths, columnar=True):
     from ..parallel import parallel_comm_matrix
     matrix = None
     for path in paths:
-        partial = parallel_comm_matrix(str(path), workers=1,
-                                       columnar=columnar)
+        partial = parallel_comm_matrix(str(path), workers=1)
         if matrix is None:
             matrix = partial.copy()
         elif partial.shape != matrix.shape:

@@ -273,9 +273,8 @@ def diff_traces(baseline, candidate, tolerances=None,
                 bins=DISTRIBUTION_BINS):
     """Compare two loaded traces; returns a :class:`TraceDiffReport`.
 
-    Both arguments accept either store (:class:`~repro.core.trace.
-    Trace` or :class:`~repro.core.columnar.ColumnarTrace`, including
-    memory-mapped ones).  Every reported deviation *strictly* exceeds
+    Both arguments are :class:`~repro.core.trace.Trace` stores,
+    memory-mapped or not.  Every reported deviation *strictly* exceeds
     its tolerance, so identical traces produce an empty report at any
     tolerance setting.
     """
@@ -308,14 +307,12 @@ def diff_traces(baseline, candidate, tolerances=None,
 def diff_trace_files(baseline_path, candidate_path, tolerances=None,
                      cache=True, bins=DISTRIBUTION_BINS):
     """:func:`diff_traces` over two trace *files*, opened through the
-    mapped columnar cache (``cache=True``) so repeated gate runs map
+    mapped sidecar cache (``cache=True``) so repeated gate runs map
     pages instead of re-parsing."""
     from ...trace_format import read_trace
 
     def load(path):
-        if cache:
-            return read_trace(str(path), cache=True)
-        return read_trace(str(path), columnar=True)
+        return read_trace(str(path), cache=cache)
 
     return diff_traces(
         load(baseline_path), load(candidate_path),

@@ -23,7 +23,7 @@ suite engine:
   alone, never re-simulating completed points.
 * :func:`analyze_traces` ingests N trace files — from :func:`run_suite`
   or anywhere else — through a worker pool; each worker opens its
-  trace via the memory-mapped columnar cache (``read_trace(path,
+  trace via the memory-mapped sidecar cache (``read_trace(path,
   cache=True)``), so repeated sweeps over the same files fault in
   pages instead of re-parsing records, and folds it into one
   :class:`TraceSummary`.  Per-trace failures are collected, not
@@ -320,10 +320,7 @@ def _summarize_path(job):
     path, name, params, cache = job
     try:
         from ...trace_format import read_trace
-        if cache:
-            trace = read_trace(path, cache=True)
-        else:
-            trace = read_trace(path, columnar=True)
+        trace = read_trace(path, cache=cache)
         return ("ok", summarize_trace(trace, name=name, path=path,
                                       params=params))
     except Exception as error:
@@ -428,7 +425,7 @@ def analyze_traces(paths, workers=None, cache=True, names=None,
                    params=None, strict=True):
     """Summarize N trace files through a worker pool.
 
-    Each worker opens its trace via the memory-mapped columnar cache
+    Each worker opens its trace via the memory-mapped sidecar cache
     (``cache=True``; the fast path that makes re-sweeps touch pages,
     not parsers) and folds it into a :class:`TraceSummary`.  Results
     keep the order of ``paths``.  ``names``/``params`` optionally label

@@ -6,7 +6,6 @@ tables and annotations.
 """
 
 from .annotations import Annotation, AnnotationStore
-from .columnar import ColumnarBuilder, ColumnarTrace, LaneStack, traces_equal
 from .anomalies import (Anomaly, CounterCorrelation, correlate_counters,
                         detect_duration_outliers,
                         detect_frequency_throttling, detect_idle_phases,
@@ -55,7 +54,8 @@ from .selection import (DataEndpoint, TaskDetails, describe_selection,
 from .symbols import Symbol, SymbolTable, resolve_task, symbols_from_trace
 from .taskgraph import (TaskGraph, export_dot, graph_from_program,
                         reconstruct_task_graph, to_networkx)
-from .trace import RegionLookup, Trace, TraceBuilder, merge_counter_series
+from .trace import (LaneStack, RegionLookup, Trace, TraceBuilder,
+                    merge_counter_series, traces_equal)
 
 __all__ = [
     "Annotation", "AnnotationStore", "Anomaly", "CounterCorrelation",
@@ -95,7 +95,6 @@ __all__ = [
     "Symbol", "SymbolTable",
     "resolve_task", "symbols_from_trace", "TaskGraph", "export_dot",
     "graph_from_program", "reconstruct_task_graph", "to_networkx",
-    "Trace", "TraceBuilder", "merge_counter_series",
-    "ColumnarBuilder", "ColumnarTrace", "LaneStack", "traces_equal",
-    "RegionLookup",
+    "Trace", "TraceBuilder", "merge_counter_series", "LaneStack",
+    "traces_equal", "RegionLookup",
 ]

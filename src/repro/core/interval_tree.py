@@ -266,23 +266,15 @@ class CounterIndex:
     def __init__(self, trace, arity=DEFAULT_ARITY):
         self.trace = trace
         self.arity = arity
-        self._trees = {}
 
     def tree(self, core, counter_id):
-        """The (lazily built) min/max tree of one (core, counter)."""
-        memoized = getattr(self.trace, "minmax_tree", None)
-        if memoized is not None:
-            # Share the per-(core, counter) trees memoized on the trace
-            # store, so repeated zoom/pan frames (and every other
-            # CounterIndex over the same trace) reuse one tree.
-            return memoized(core, counter_id, arity=self.arity)
-        key = (core, counter_id)
-        tree = self._trees.get(key)
-        if tree is None:
-            __, values = self.trace.counter_samples(core, counter_id)
-            tree = MinMaxTree(values, arity=self.arity)
-            self._trees[key] = tree
-        return tree
+        """The (lazily built) min/max tree of one (core, counter).
+
+        The trees are the ones memoized on the trace store, so repeated
+        zoom/pan frames (and every other CounterIndex over the same
+        trace) reuse one tree.
+        """
+        return self.trace.minmax_tree(core, counter_id, arity=self.arity)
 
     def query_time_range(self, core, counter_id, start, end):
         """(min, max) of a counter on a core within the half-open time

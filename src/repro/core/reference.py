@@ -7,10 +7,9 @@ no cleverness.  They are the *executable specification* of the
 vectorized implementations in :mod:`repro.core.statistics`:
 
 * the parity tests (``tests/test_columnar_parity.py``) assert the
-  vectorized results are exactly equal to these, on both the object
-  store (:class:`~repro.core.trace.Trace`) and the columnar store
-  (:class:`~repro.core.columnar.ColumnarTrace`);
-* the benchmarks use them as the object-model baseline the columnar
+  vectorized results are exactly equal to these, on in-memory and
+  memory-mapped :class:`~repro.core.trace.Trace` stores;
+* the benchmarks use them as the object-model baseline the lane-store
   hot paths are measured against
   (``benchmarks/bench_ext_outofcore.py``).
 

@@ -207,32 +207,27 @@ def interval_report(trace, start=None, end=None):
 # package.
 
 
-def state_time_summary_out_of_core(path, workers=None, columnar=False):
+def state_time_summary_out_of_core(path, workers=None):
     """Whole-trace per-state cycle totals from a trace file.
 
     The out-of-core counterpart of :func:`state_time_summary`: the file
     is never loaded into memory — with a chunk index present the pass
     is sharded over ``workers`` processes, otherwise it streams
-    serially.  ``columnar=True`` folds records through the vectorized
-    batch accumulators.  Returns the same ``{state: cycles}`` mapping a
+    serially.  Returns the same ``{state: cycles}`` mapping a
     full-file :func:`state_time_summary` would produce.
     """
     from ..analysis.parallel import parallel_streaming_statistics
     return dict(parallel_streaming_statistics(
-        path, workers=workers, columnar=columnar).state_cycles)
+        path, workers=workers).state_cycles)
 
 
-def interval_report_out_of_core(path, start=None, end=None,
-                                columnar=False):
+def interval_report_out_of_core(path, start=None, end=None):
     """Per-interval statistics panel computed from a trace file.
 
     Extracts just the ``[start, end)`` window of the file (seeking via
     the chunk index when present, streaming otherwise) and assembles
     the normal :class:`IntervalReport` from the small in-memory window.
     Omitted bounds are filled from a constant-memory statistics pass.
-    ``columnar=True`` assembles the window as a
-    :class:`~repro.core.columnar.ColumnarTrace` — every statistic here
-    accepts either store, so the report is identical.
     """
     from ..trace_format.streaming import (split_time_window,
                                           streaming_statistics)
@@ -240,5 +235,5 @@ def interval_report_out_of_core(path, start=None, end=None,
         bounds = streaming_statistics(path)
         start = bounds.begin if start is None else start
         end = bounds.end if end is None else end
-    window = split_time_window(path, start, end, columnar=columnar)
+    window = split_time_window(path, start, end)
     return interval_report(window, start, end)

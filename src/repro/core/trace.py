@@ -1,16 +1,25 @@
-"""In-memory trace representation.
+"""In-memory trace representation: the per-core lane store.
 
 Aftermath keeps simple, efficient data structures for traces
 (Section VI-B-c): *one array per core and per type of event, sorted by
 timestamp*, so that the events of any time interval can be found with a
-binary search.  This module provides:
+binary search.  This module realizes that layout literally:
 
-* :class:`TraceBuilder` — an append-only, columnar accumulator used both
-  by the run-time tracer and by the trace-file reader.  Columns are
+* :class:`Trace` — the immutable trace every analysis and rendering
+  component operates on.  For every core it holds one numpy structured
+  array per record kind (state intervals, task executions, discrete
+  events, communication events, memory accesses) plus one array per
+  ``(core, counter)`` pair for counter samples.  It is also the layout
+  the memory-mapped ``.ostc`` sidecar persists
+  (:mod:`repro.trace_format.cache`);
+* :class:`LaneStack` — the lanes of one record kind, with a lazy
+  concatenated column view for the whole-trace analyses;
+* :class:`TraceBuilder` — an append-only accumulator used both by the
+  run-time tracer and by the trace-file readers.  Columns are
   ``array.array`` buffers, so building million-event traces does not
-  allocate millions of Python objects.
-* :class:`Trace` — the immutable, numpy-backed, per-core-sorted trace
-  that every analysis and rendering component operates on.
+  allocate millions of Python objects;
+* :func:`traces_equal` — order-insensitive equality between two
+  stores, the oracle of the round-trip property tests.
 
 Records may be appended in any order; the builder sorts per core at
 :meth:`TraceBuilder.build` time.  (Trace *files* additionally guarantee
@@ -27,6 +36,27 @@ import numpy as np
 from .events import (CommEvent, CounterDescription, DiscreteEvent,
                      MemoryAccess, RegionInfo, StateInterval, TaskExecution,
                      TaskTypeInfo)
+from .index import interval_slice, point_slice
+
+#: One record per worker-state interval of one core.
+STATE_DTYPE = np.dtype([("state", np.int64), ("start", np.int64),
+                        ("end", np.int64)])
+#: One record per task execution of one core.
+TASK_DTYPE = np.dtype([("task_id", np.int64), ("type_id", np.int64),
+                       ("start", np.int64), ("end", np.int64)])
+#: One record per discrete (point) event of one core.
+DISCRETE_DTYPE = np.dtype([("kind", np.int64), ("timestamp", np.int64),
+                           ("payload", np.int64)])
+#: One record per communication event originating at one core.
+COMM_DTYPE = np.dtype([("dst_core", np.int64), ("timestamp", np.int64),
+                       ("size", np.int64), ("task_id", np.int64)])
+#: One record per memory access performed on one core.
+ACCESS_DTYPE = np.dtype([("task_id", np.int64), ("address", np.int64),
+                         ("size", np.int64), ("is_write", np.int64),
+                         ("timestamp", np.int64)])
+#: One record per sample of one counter on one core.
+COUNTER_DTYPE = np.dtype([("timestamp", np.int64),
+                          ("value", np.float64)])
 
 
 class RegionLookup:
@@ -34,9 +64,7 @@ class RegionLookup:
 
     The trace file stores placement once per region (Section VI-A);
     this index answers "which node holds this address" for single
-    addresses and, vectorized, for whole access columns.  Shared by
-    both trace stores (:class:`Trace` and
-    :class:`repro.core.columnar.ColumnarTrace`).
+    addresses and, vectorized, for whole access columns.
     """
 
     def __init__(self, regions):
@@ -140,10 +168,96 @@ class _Columns:
                 for name in self.names}
 
 
-class TraceBuilder:
-    """Accumulates trace records and assembles a :class:`Trace`."""
+class LaneStack:
+    """One sorted structured array per core for one record kind.
 
-    def __init__(self, topology):
+    ``lane(core)`` is the per-core array itself (zero-copy field
+    access); ``columns`` / ``core_column`` / ``core_slice`` present the
+    concatenated core-major column view the whole-trace analyses use.
+    The synthesized ``core_name`` column (the lane index) exists only
+    in these views — the lanes themselves never store it.
+    """
+
+    def __init__(self, lanes, column_order, core_name="core"):
+        self.lanes = list(lanes)
+        self.column_order = tuple(column_order)
+        self.core_name = core_name
+        lengths = np.asarray([len(lane) for lane in self.lanes],
+                             dtype=np.int64)
+        self.offsets = np.concatenate(
+            (np.zeros(1, dtype=np.int64), np.cumsum(lengths)))
+        self._columns = None
+
+    def __len__(self):
+        return int(self.offsets[-1])
+
+    def lane(self, core):
+        """The structured event array of one core."""
+        return self.lanes[core]
+
+    def core_slice(self, core):
+        """Concatenated-column slice covering one core's events."""
+        return slice(int(self.offsets[core]), int(self.offsets[core + 1]))
+
+    def core_column(self, core, name):
+        """One column of one core's lane (``core_name`` synthesized)."""
+        if name == self.core_name:
+            return np.full(len(self.lanes[core]), core, dtype=np.int64)
+        return self.lanes[core][name]
+
+    @property
+    def columns(self):
+        """Concatenated (core-major, per-core sorted) column dict.
+        Built lazily."""
+        if self._columns is None:
+            lengths = [len(lane) for lane in self.lanes]
+            columns = {}
+            for name in self.column_order:
+                if name == self.core_name:
+                    columns[name] = np.repeat(
+                        np.arange(len(self.lanes), dtype=np.int64),
+                        lengths)
+                elif self.lanes:
+                    columns[name] = np.concatenate(
+                        [np.ascontiguousarray(lane[name])
+                         for lane in self.lanes])
+                else:
+                    columns[name] = np.empty(0, dtype=np.int64)
+            self._columns = columns
+        return self._columns
+
+
+def _lane_from_columns(columns, selection, dtype):
+    """A structured array from a slice/index of parallel columns."""
+    reference = columns[dtype.names[0]][selection]
+    lane = np.empty(len(reference), dtype=dtype)
+    lane[dtype.names[0]] = reference
+    for name in dtype.names[1:]:
+        lane[name] = columns[name][selection]
+    return lane
+
+
+def _split_by_core(columns, core_key, sort_key, num_cores, dtype):
+    """Per-core sorted lanes from flat columns (stable in ties)."""
+    order = np.lexsort((columns[sort_key], columns[core_key]))
+    ordered = {name: values[order] for name, values in columns.items()}
+    offsets = np.searchsorted(ordered[core_key],
+                              np.arange(num_cores + 1))
+    return [_lane_from_columns(
+                ordered, slice(int(offsets[core]), int(offsets[core + 1])),
+                dtype)
+            for core in range(num_cores)]
+
+
+class TraceBuilder:
+    """Accumulates trace records and assembles a :class:`Trace`.
+
+    The topology may arrive at any time before :meth:`build` (trace
+    files allow static records anywhere), via the constructor or
+    :meth:`set_topology`.
+    """
+
+    def __init__(self, topology=None):
         self.topology = topology
         self._states = _Columns(("core", "state", "start", "end"))
         self._tasks = _Columns(("task_id", "type_id", "core", "start",
@@ -160,6 +274,10 @@ class TraceBuilder:
         self.regions: List[RegionInfo] = []
 
     # -- static records ---------------------------------------------------
+    def set_topology(self, topology):
+        """Install the topology (any time before :meth:`build`)."""
+        self.topology = topology
+
     def describe_counter(self, name, monotone=True):
         """Register a counter; returns its id."""
         counter_id = len(self.counter_descriptions)
@@ -211,38 +329,163 @@ class TraceBuilder:
         self._counter_values[key].append(float(value))
 
     def build(self):
-        """Freeze the accumulated records into a :class:`Trace`."""
-        counter_series = {}
+        """Freeze the accumulated records into per-core sorted lanes."""
+        if self.topology is None:
+            raise ValueError("cannot build a trace without a topology")
+        num_cores = self.topology.num_cores
+        counter_lanes = {}
         for key, times in self._counter_times.items():
             timestamps = np.asarray(times, dtype=np.int64)
-            values = np.asarray(self._counter_values[key], dtype=np.float64)
+            values = np.asarray(self._counter_values[key],
+                                dtype=np.float64)
             order = np.argsort(timestamps, kind="stable")
-            counter_series[key] = (timestamps[order], values[order])
-        return Trace(topology=self.topology,
-                     states=self._states.to_numpy(),
-                     tasks=self._tasks.to_numpy(),
-                     discrete=self._discrete.to_numpy(),
-                     comm=self._comm.to_numpy(),
-                     accesses=self._accesses.to_numpy(),
-                     counter_series=counter_series,
-                     counter_descriptions=list(self.counter_descriptions),
-                     task_types=list(self.task_types),
-                     regions=list(self.regions))
+            lane = np.empty(len(timestamps), dtype=COUNTER_DTYPE)
+            lane["timestamp"] = timestamps[order]
+            lane["value"] = values[order]
+            counter_lanes[key] = lane
+        return Trace(
+            topology=self.topology,
+            states=_split_by_core(self._states.to_numpy(), "core",
+                                  "start", num_cores, STATE_DTYPE),
+            tasks=_split_by_core(self._tasks.to_numpy(), "core", "start",
+                                 num_cores, TASK_DTYPE),
+            discrete=_split_by_core(self._discrete.to_numpy(), "core",
+                                    "timestamp", num_cores,
+                                    DISCRETE_DTYPE),
+            comm=_split_by_core(self._comm.to_numpy(), "src_core",
+                                "timestamp", num_cores, COMM_DTYPE),
+            accesses=_split_by_core(self._accesses.to_numpy(), "core",
+                                    "timestamp", num_cores, ACCESS_DTYPE),
+            counter_lanes=counter_lanes,
+            counter_descriptions=list(self.counter_descriptions),
+            task_types=list(self.task_types),
+            regions=list(self.regions))
 
 
-class EventViewMixin:
-    """Object-model views shared by the two trace stores.
+class Trace:
+    """An immutable trace stored as per-core sorted structured arrays,
+    ready for analysis and rendering."""
 
-    Everything here is written against the duck-typed columnar surface
-    both stores provide — ``.states`` / ``.tasks`` / ``.discrete`` with
-    ``.columns``, the ``.comm`` / ``.accesses`` column dicts,
-    ``.counter_series``, ``.counter_descriptions`` and
-    ``._region_lookup`` — so :class:`Trace` and
-    :class:`repro.core.columnar.ColumnarTrace` share one
-    implementation and cannot drift apart.
-    """
+    def __init__(self, topology, states, tasks, discrete, comm, accesses,
+                 counter_lanes, counter_descriptions, task_types, regions,
+                 time_bounds=None, pyramids=None):
+        self.topology = topology
+        # Persisted render pyramids of a memory-mapped open (see
+        # repro.trace_format.cache.MappedPyramids); in-memory stores
+        # build the equivalent structures lazily instead.  Windowed
+        # sub-traces never inherit them: their lanes are slices the
+        # persisted levels do not describe.
+        self.pyramids = pyramids
+        self.states = LaneStack(states, ("core", "state", "start", "end"))
+        self.tasks = LaneStack(tasks, ("task_id", "type_id", "core",
+                                       "start", "end"))
+        self.discrete = LaneStack(discrete, ("core", "kind", "timestamp",
+                                             "payload"))
+        self.comm_lanes = LaneStack(comm, ("src_core", "dst_core",
+                                           "timestamp", "size", "task_id"),
+                                    core_name="src_core")
+        self.access_lanes = LaneStack(accesses, ("task_id", "core",
+                                                 "address", "size",
+                                                 "is_write", "timestamp"))
+        self.counter_lanes = dict(counter_lanes)
+        self.counter_descriptions = list(counter_descriptions)
+        self.task_types = list(task_types)
+        self._region_lookup = RegionLookup(regions)
+        self.regions = self._region_lookup.regions
+        self._comm = None
+        self._accesses = None
+        self._counter_series = None
+        self._task_index = None
+        # Lazily built per-(core, counter) min/max trees and per-core
+        # state indexes/tiles (see minmax_tree, state_index, state_tiles).
+        self._minmax_trees = {}
+        self._state_indexes = {}
+        self._state_tiles = {}
+        # ``time_bounds`` lets a memory-mapped open skip the bounds
+        # scan (which would fault in every page of the interval lanes);
+        # the cache header stores the bounds instead.
+        if time_bounds is None:
+            self.begin, self.end = self._time_bounds()
+        else:
+            self.begin, self.end = int(time_bounds[0]), int(time_bounds[1])
+
+    # -- global properties --------------------------------------------
+    @property
+    def num_cores(self):
+        """Total cores of the traced machine."""
+        return self.topology.num_cores
+
+    @property
+    def duration(self):
+        """Cycles between the first and last event."""
+        return self.end - self.begin
+
+    def _time_bounds(self):
+        begin, end = [], []
+        for stack in (self.states, self.tasks):
+            for lane in stack.lanes:
+                if len(lane):
+                    begin.append(int(lane["start"][0]))
+                    end.append(int(lane["end"].max()))
+        for lane in self.counter_lanes.values():
+            if len(lane):
+                begin.append(int(lane["timestamp"][0]))
+                end.append(int(lane["timestamp"][-1]))
+        if not begin:
+            return 0, 0
+        return min(begin), max(end)
+
+    # -- global column views -------------------------------------------
+    @property
+    def comm(self):
+        """Communication events as one global, time-sorted column
+        dict."""
+        if self._comm is None:
+            columns = self.comm_lanes.columns
+            order = np.argsort(columns["timestamp"], kind="stable")
+            self._comm = {name: columns[name][order]
+                          for name in self.comm_lanes.column_order}
+        return self._comm
+
+    @property
+    def accesses(self):
+        """Memory accesses as one task-sorted column dict."""
+        if self._accesses is None:
+            columns = self.access_lanes.columns
+            order = np.argsort(columns["task_id"], kind="stable")
+            self._accesses = {name: columns[name][order]
+                              for name in self.access_lanes.column_order}
+        return self._accesses
 
     # -- counters -------------------------------------------------------
+    @property
+    def counter_series(self):
+        """``(core, counter_id) -> (timestamps, values)`` views."""
+        if self._counter_series is None:
+            self._counter_series = {
+                key: (lane["timestamp"], lane["value"])
+                for key, lane in self.counter_lanes.items()}
+        return self._counter_series
+
+    def counter_lane(self, core, counter_id):
+        """The structured sample array of one counter on one core."""
+        empty = np.empty(0, dtype=COUNTER_DTYPE)
+        return self.counter_lanes.get((core, counter_id), empty)
+
+    def counter_samples(self, core, counter_id):
+        """(timestamps, values) arrays for one counter on one core.
+
+        Served straight from the lane dict: the first frame after a
+        mapped reopen must not pay for cutting field views of every
+        counter lane (the ``counter_series`` property) to read one.
+        """
+        lane = self.counter_lanes.get((core, counter_id))
+        if lane is None:
+            return (np.empty(0, dtype=np.int64),
+                    np.empty(0, dtype=np.float64))
+        return lane["timestamp"], lane["value"]
+
+    # -- counter lookups ------------------------------------------------
     def counter_id(self, name):
         """Counter id for a name (ids pass through unchanged)."""
         for description in self.counter_descriptions:
@@ -253,12 +496,6 @@ class EventViewMixin:
     def counter_name(self, counter_id):
         """Counter name for an id."""
         return self.counter_descriptions[counter_id].name
-
-    def counter_samples(self, core, counter_id):
-        """(timestamps, values) arrays for one counter on one core."""
-        empty = (np.empty(0, dtype=np.int64),
-                 np.empty(0, dtype=np.float64))
-        return self.counter_series.get((core, counter_id), empty)
 
     def minmax_tree(self, core, counter_id, arity=None):
         """The n-ary min/max tree of one counter on one core, memoized.
@@ -273,24 +510,19 @@ class EventViewMixin:
         """
         from .interval_tree import DEFAULT_ARITY, MinMaxTree
         arity = DEFAULT_ARITY if arity is None else arity
-        trees = getattr(self, "_minmax_trees", None)
-        if trees is None:
-            trees = {}
-            self._minmax_trees = trees
         key = (core, counter_id, arity)
-        tree = trees.get(key)
+        tree = self._minmax_trees.get(key)
         if tree is None:
             __, values = self.counter_samples(core, counter_id)
-            pyramids = getattr(self, "pyramids", None)
-            if pyramids is not None:
+            if self.pyramids is not None:
                 # A memory-mapped store serves the persisted pyramid
                 # levels instead of rebuilding the tree: first frame
                 # after reopen touches O(header) bytes, not the lane.
-                tree = pyramids.counter_tree(core, counter_id, values,
-                                             arity)
+                tree = self.pyramids.counter_tree(core, counter_id,
+                                                  values, arity)
             if tree is None:
                 tree = MinMaxTree(values, arity=arity)
-            trees[key] = tree
+            self._minmax_trees[key] = tree
         return tree
 
     def counter_columns(self, core, counter_id, view):
@@ -304,14 +536,14 @@ class EventViewMixin:
         width; anything else falls back to the kernel.  Returns the
         ``(xs, vmins, vmaxs)`` triple the kernel would have produced.
         """
-        pyramids = getattr(self, "pyramids", None)
-        if pyramids is None:
+        if self.pyramids is None:
             return None
         if (view.start, view.end) != (self.begin, self.end):
             return None
         if view.duration < view.width:
             return None
-        columns = pyramids.counter_columns(core, counter_id, view.width)
+        columns = self.pyramids.counter_columns(core, counter_id,
+                                                view.width)
         if columns is None:
             return None
         vmins, vmaxs = columns
@@ -328,16 +560,12 @@ class EventViewMixin:
         walk.  See :class:`repro.core.pyramid.StateIndex`.
         """
         from .pyramid import StateIndex
-        cache = getattr(self, "_state_indexes", None)
-        if cache is None:
-            cache = {}
-            self._state_indexes = cache
+        cache = self._state_indexes
         if core in cache:
             return cache[core]
         index = None
-        pyramids = getattr(self, "pyramids", None)
-        if pyramids is not None:
-            index = pyramids.state_index(core)
+        if self.pyramids is not None:
+            index = self.pyramids.state_index(core)
         if index is None:
             index = StateIndex.build(
                 self.states.core_column(core, "start"),
@@ -354,16 +582,12 @@ class EventViewMixin:
         be indexed.  See :class:`repro.core.pyramid.StateTiles`.
         """
         from .pyramid import build_state_tiles
-        cache = getattr(self, "_state_tiles", None)
-        if cache is None:
-            cache = {}
-            self._state_tiles = cache
+        cache = self._state_tiles
         if core in cache:
             return cache[core]
         tiles = None
-        pyramids = getattr(self, "pyramids", None)
-        if pyramids is not None:
-            tiles = pyramids.state_tiles(core)
+        if self.pyramids is not None:
+            tiles = self.pyramids.state_tiles(core)
         if tiles is None:
             index = self.state_index(core)
             if index is not None:
@@ -377,7 +601,7 @@ class EventViewMixin:
     def task_by_id(self, task_id):
         """The :class:`TaskExecution` for a task id (raises
         ``KeyError``).  The id -> row index is built on first use."""
-        index = getattr(self, "_task_index", None)
+        index = self._task_index
         if index is None:
             ids = self.tasks.columns["task_id"]
             index = self._task_index = {
@@ -467,98 +691,57 @@ class EventViewMixin:
         :meth:`RegionLookup.nodes_of_addresses`)."""
         return self._region_lookup.nodes_of_addresses(addresses)
 
-    # -- columnar store ---------------------------------------------------
-    def to_columnar(self):
-        """The per-core structured-array form of this trace (see
-        :mod:`repro.core.columnar`); a no-copy ``self`` when already
-        columnar."""
-        from .columnar import ColumnarTrace
-        if isinstance(self, ColumnarTrace):
-            return self
-        return ColumnarTrace.from_trace(self)
+    # -- zero-copy window slicing -------------------------------------
+    def slice_time_window(self, start, end):
+        """The sub-trace overlapping ``[start, end)`` as lane *views*.
 
+        Every lane is per-core sorted, so the events of the window are
+        one binary-searched slice per lane (Section VI-B-c): interval
+        kinds (states, tasks) keep every record overlapping the window,
+        point kinds keep timestamps in ``[start, end)`` — the exact
+        filtering semantics of
+        :func:`repro.trace_format.streaming.split_time_window`.  No
+        event data is copied; on a memory-mapped store only the pages
+        the returned slices touch are ever read, which is what makes
+        windowed queries on a cached million-event trace O(window).
+        """
+        def interval_lanes(stack):
+            lanes = []
+            for lane in stack.lanes:
+                selection = interval_slice(lane["start"], lane["end"],
+                                           start, end)
+                lanes.append(lane[selection])
+            return lanes
 
-class PerCoreEvents:
-    """Per-core views of a sorted columnar event table."""
+        def point_lanes(stack):
+            return [lane[point_slice(lane["timestamp"], start, end)]
+                    for lane in stack.lanes]
 
-    def __init__(self, columns, core_column, sort_key, num_cores):
-        order = np.lexsort((columns[sort_key], columns[core_column]))
-        self.columns = {name: values[order]
-                        for name, values in columns.items()}
-        cores = self.columns[core_column]
-        # offsets[c]:offsets[c+1] is the slice of events of core c.
-        self.offsets = np.searchsorted(cores, np.arange(num_cores + 1))
-        self._sort_key = sort_key
-
-    def __len__(self):
-        return len(self.columns[self._sort_key])
-
-    def core_slice(self, core):
-        """Slice of the concatenated columns covering one core."""
-        return slice(int(self.offsets[core]), int(self.offsets[core + 1]))
-
-    def core_column(self, core, name):
-        """One column restricted to one core's events."""
-        return self.columns[name][self.core_slice(core)]
-
-
-class Trace(EventViewMixin):
-    """An immutable, indexed trace ready for analysis and rendering."""
-
-    def __init__(self, topology, states, tasks, discrete, comm, accesses,
-                 counter_series, counter_descriptions, task_types, regions):
-        self.topology = topology
-        num_cores = topology.num_cores
-        self.states = PerCoreEvents(states, "core", "start", num_cores)
-        self.tasks = PerCoreEvents(tasks, "core", "start", num_cores)
-        self.discrete = PerCoreEvents(discrete, "core", "timestamp",
-                                      num_cores)
-        order = np.argsort(comm["timestamp"], kind="stable")
-        self.comm = {name: values[order] for name, values in comm.items()}
-        order = np.argsort(accesses["task_id"], kind="stable")
-        self.accesses = {name: values[order]
-                         for name, values in accesses.items()}
-        self.counter_series = counter_series
-        self.counter_descriptions = list(counter_descriptions)
-        self.task_types = list(task_types)
-        self._region_lookup = RegionLookup(regions)
-        self.regions = self._region_lookup.regions
-        self.begin, self.end = self._time_bounds()
-
-    # -- global properties --------------------------------------------
-    @property
-    def num_cores(self):
-        """Total cores of the traced machine."""
-        return self.topology.num_cores
-
-    @property
-    def duration(self):
-        """Cycles between the first and last event."""
-        return self.end - self.begin
-
-    def _time_bounds(self):
-        begin, end = [], []
-        if len(self.states):
-            begin.append(int(self.states.columns["start"].min()))
-            end.append(int(self.states.columns["end"].max()))
-        if len(self.tasks):
-            begin.append(int(self.tasks.columns["start"].min()))
-            end.append(int(self.tasks.columns["end"].max()))
-        for timestamps, __ in self.counter_series.values():
-            if len(timestamps):
-                begin.append(int(timestamps[0]))
-                end.append(int(timestamps[-1]))
-        if not begin:
-            return 0, 0
-        return min(begin), max(end)
+        # Like a trace built from the window's records, the sub-trace
+        # has no lane for a counter without samples in the window.
+        counter_lanes = {}
+        for key, lane in self.counter_lanes.items():
+            samples = lane[point_slice(lane["timestamp"], start, end)]
+            if len(samples):
+                counter_lanes[key] = samples
+        return Trace(
+            topology=self.topology,
+            states=interval_lanes(self.states),
+            tasks=interval_lanes(self.tasks),
+            discrete=point_lanes(self.discrete),
+            comm=point_lanes(self.comm_lanes),
+            accesses=point_lanes(self.access_lanes),
+            counter_lanes=counter_lanes,
+            counter_descriptions=self.counter_descriptions,
+            task_types=self.task_types,
+            regions=self.regions)
 
     def __repr__(self):
         return ("Trace(cores={}, states={}, tasks={}, accesses={}, "
                 "counters={})".format(
                     self.num_cores, len(self.states), len(self.tasks),
-                    len(self.accesses["task_id"]),
+                    len(self.access_lanes),
                     len(self.counter_descriptions)))
-
 
 def merge_counter_series(main, aux, counters=None):
     """Merge counter series of a second trace into a new trace.
@@ -583,7 +766,7 @@ def merge_counter_series(main, aux, counters=None):
     existing = {description.name
                 for description in main.counter_descriptions}
     descriptions = list(main.counter_descriptions)
-    series = dict(main.counter_series)
+    counter_lanes = dict(main.counter_lanes)
     id_map = {}
     for description in aux.counter_descriptions:
         if description.name not in wanted:
@@ -596,16 +779,65 @@ def merge_counter_series(main, aux, counters=None):
         descriptions.append(CounterDescription(
             counter_id=new_id, name=name,
             monotone=description.monotone))
-    for (core, counter_id), data in aux.counter_series.items():
+    for (core, counter_id), lane in aux.counter_lanes.items():
         if counter_id in id_map:
-            series[(core, id_map[counter_id])] = data
+            counter_lanes[(core, id_map[counter_id])] = lane
     return Trace(topology=main.topology,
-                 states=dict(main.states.columns),
-                 tasks=dict(main.tasks.columns),
-                 discrete=dict(main.discrete.columns),
-                 comm=dict(main.comm),
-                 accesses=dict(main.accesses),
-                 counter_series=series,
+                 states=main.states.lanes,
+                 tasks=main.tasks.lanes,
+                 discrete=main.discrete.lanes,
+                 comm=main.comm_lanes.lanes,
+                 accesses=main.access_lanes.lanes,
+                 counter_lanes=counter_lanes,
                  counter_descriptions=descriptions,
                  task_types=list(main.task_types),
                  regions=list(main.regions))
+
+
+def _canonical_columns(columns):
+    """Columns reordered into a canonical total order (name-sorted
+    lexsort), so equality ignores permitted tie reorderings."""
+    names = sorted(columns)
+    if not names or len(columns[names[0]]) == 0:
+        return {name: columns[name] for name in names}
+    order = np.lexsort(tuple(columns[name] for name in names))
+    return {name: columns[name][order] for name in names}
+
+
+def _columns_equal(left, right):
+    if sorted(left) != sorted(right):
+        return False
+    left = _canonical_columns(left)
+    right = _canonical_columns(right)
+    return all(np.array_equal(left[name], right[name]) for name in left)
+
+
+def traces_equal(left, right):
+    """Whether two trace stores hold exactly the same records.
+
+    Event comparison is order-insensitive within the orderings a store
+    is free to choose (ties in the per-core / per-key sorts);
+    values must match exactly, including counter-sample floats.
+    """
+    if left.topology != right.topology:
+        return False
+    if (list(left.counter_descriptions) != list(right.counter_descriptions)
+            or list(left.task_types) != list(right.task_types)
+            or list(left.regions) != list(right.regions)):
+        return False
+    for kind in ("states", "tasks", "discrete"):
+        if not _columns_equal(getattr(left, kind).columns,
+                              getattr(right, kind).columns):
+            return False
+    if not _columns_equal(left.comm, right.comm):
+        return False
+    if not _columns_equal(left.accesses, right.accesses):
+        return False
+    if set(left.counter_series) != set(right.counter_series):
+        return False
+    for key, (timestamps, values) in left.counter_series.items():
+        other_times, other_values = right.counter_series[key]
+        if not _columns_equal({"t": timestamps, "v": values},
+                              {"t": other_times, "v": other_values}):
+            return False
+    return True

@@ -8,24 +8,22 @@ counter values (``vmin``/``vmax``), maps them to pixels and draws one
 vertical line — with the n-ary min/max search tree of Section VI-B-c
 avoiding a scan of every sample in the column.
 
-Two implementations of the optimized mode coexist:
+The optimized mode is a vectorized kernel: one batched
+``searchsorted`` over the pixel edges and one ``segment_minmax``/
+:meth:`~repro.core.interval_tree.MinMaxTree.query_segments` pass
+computes every column's extremes at once, with the per-``(core,
+counter)`` trees memoized on the trace store
+(:meth:`~repro.core.trace.Trace.minmax_tree` — served from the
+``.ostc`` sidecar's persisted pyramid levels on memory-mapped stores)
+so repeated zoom/pan frames rebuild nothing; views zoomed below one
+cycle per pixel (overlapping widened pixel intervals) use the
+gather-based :func:`_column_extremes_zoomed` variant instead of
+falling back to the per-pixel loop.
 
-* the **vectorized kernel** (default) — one batched ``searchsorted``
-  over the pixel edges and one ``segment_minmax``/
-  :meth:`~repro.core.interval_tree.MinMaxTree.query_segments` pass
-  computes every column's extremes at once, with the per-``(core,
-  counter)`` trees memoized on the trace store
-  (:meth:`~repro.core.trace.EventViewMixin.minmax_tree` — served from
-  the ``.ostc`` sidecar's persisted pyramid levels on memory-mapped
-  stores) so repeated zoom/pan frames rebuild nothing; views zoomed
-  below one cycle per pixel (overlapping widened pixel intervals) use
-  the gather-based :func:`_column_extremes_zoomed` variant instead of
-  falling back to the per-pixel loop;
-* the **scalar reference** (``vectorized=False``) — the original
-  per-pixel loop, kept as the executable specification the parity
-  tests and the interactive benchmark compare against.
-
-Both produce bit-identical framebuffers and draw-call counts.
+The original per-pixel loop lives on as the executable specification
+in :mod:`repro.render.reference`; the parity tests and the interactive
+benchmark compare against it, and both draw bit-identical framebuffers
+with identical draw-call counts.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.interval_tree import CounterIndex, segment_minmax
+from ..core.interval_tree import segment_minmax
 from ..core.metrics import discrete_derivative
 
 
@@ -46,15 +44,9 @@ def value_bounds(trace, counter_id, cores=None):
     samples (the per-frame waste this function used to pay).
     """
     cores = range(trace.num_cores) if cores is None else cores
-    memoized = getattr(trace, "minmax_tree", None)
     minimum, maximum = np.inf, -np.inf
     for core in cores:
-        if memoized is not None:
-            extremes = memoized(core, counter_id).bounds()
-        else:
-            __, values = trace.counter_samples(core, counter_id)
-            extremes = ((float(values.min()), float(values.max()))
-                        if len(values) else None)
+        extremes = trace.minmax_tree(core, counter_id).bounds()
         if extremes is not None:
             minimum = min(minimum, extremes[0])
             maximum = max(maximum, extremes[1])
@@ -177,15 +169,15 @@ def _draw_columns(framebuffer, xs, vmins, vmaxs, bounds, top, height,
 
 def render_counter(trace, counter, view, framebuffer, core=0,
                    color=(255, 60, 60), top=None, height=None,
-                   bounds=None, counter_index=None, optimized=True,
-                   vectorized=True):
+                   bounds=None, counter_index=None, optimized=True):
     """Render one core's counter curve into the framebuffer.
 
     With ``optimized=True`` each pixel column draws exactly one
     vertical line spanning [pmin, pmax] (Fig. 21b); the column extremes
-    come from the vectorized batched kernel (or, with
-    ``vectorized=False``, the scalar per-pixel reference loop, which
-    uses ``counter_index`` — a :class:`CounterIndex` — when provided).
+    come from the vectorized batched kernel, searching the min/max
+    tree of ``counter_index`` (a
+    :class:`~repro.core.interval_tree.CounterIndex`) when given,
+    else the one memoized on the trace store.
     With ``optimized=False`` every adjacent sample pair becomes a line
     (Fig. 21a) — the baseline the rendering benchmark compares against.
     Returns the number of drawing operations issued.
@@ -211,63 +203,34 @@ def render_counter(trace, counter, view, framebuffer, core=0,
             framebuffer.draw_line(max(x0, 0), y0,
                                   min(x1, view.width - 1), y1, color)
         return framebuffer.draw_calls - before
-    if vectorized:
-        served = getattr(trace, "counter_columns", None)
-        columns = (served(core, counter_id, view)
-                   if served is not None else None)
-        if columns is not None:
-            # A mapped store persisted this view's pixel columns at
-            # cache-write time — computed by _column_extremes itself,
-            # so drawing them is bit-identical to running the kernel.
-            xs, vmins, vmaxs = columns
-        elif view.duration >= view.width:
-            tree = None
-            if counter_index is not None:
-                tree = counter_index.tree(core, counter_id)
-            else:
-                memoized = getattr(trace, "minmax_tree", None)
-                if memoized is not None:
-                    tree = memoized(core, counter_id)
-            xs, vmins, vmaxs = _column_extremes(timestamps, values,
-                                                view, tree=tree)
-        else:
-            xs, vmins, vmaxs = _column_extremes_zoomed(timestamps,
-                                                       values, view)
-        _draw_columns(framebuffer, xs, vmins, vmaxs, bounds, top,
-                      height, color)
-        return framebuffer.draw_calls - before
-    for x in range(view.width):
-        t0, t1 = view.pixel_interval(x)
-        if counter_index is not None:
-            extremes = counter_index.query_time_range(core, counter_id,
-                                                      t0, t1)
-        else:
-            lo = int(np.searchsorted(timestamps, t0, side="left"))
-            hi = int(np.searchsorted(timestamps, t1, side="left"))
-            extremes = ((float(values[lo:hi].min()),
-                         float(values[lo:hi].max()))
-                        if hi > lo else None)
-        if extremes is None:
-            # No sample in this column: interpolate at the pixel center.
-            center = (t0 + t1) // 2
-            if center < timestamps[0] or center > timestamps[-1]:
-                continue
-            value = float(np.interp(center, timestamps, values))
-            extremes = (value, value)
-        y_max = _value_to_y(extremes[0], bounds, top, height)
-        y_min = _value_to_y(extremes[1], bounds, top, height)
-        framebuffer.vertical_line(x, y_min, y_max, color)
+    columns = trace.counter_columns(core, counter_id, view)
+    if columns is not None:
+        # A mapped store persisted this view's pixel columns at
+        # cache-write time — computed by _column_extremes itself, so
+        # drawing them is bit-identical to running the kernel.
+        xs, vmins, vmaxs = columns
+    elif view.duration >= view.width:
+        tree = (counter_index.tree(core, counter_id)
+                if counter_index is not None
+                else trace.minmax_tree(core, counter_id))
+        xs, vmins, vmaxs = _column_extremes(timestamps, values, view,
+                                            tree=tree)
+    else:
+        xs, vmins, vmaxs = _column_extremes_zoomed(timestamps, values,
+                                                   view)
+    _draw_columns(framebuffer, xs, vmins, vmaxs, bounds, top, height,
+                  color)
     return framebuffer.draw_calls - before
 
 
 def render_derived_series(series, view, framebuffer, color=(90, 220, 90),
-                          top=None, height=None, vectorized=True):
+                          top=None, height=None):
     """Render a materialized :class:`DerivedSeries` over the timeline.
 
     Derived metrics are global (not per core), so the curve spans the
     full overlay height by default; drawing uses the same one-vertical-
     line-per-pixel scheme as hardware counters, with the same batched
-    kernel (``vectorized=False`` keeps the scalar reference loop).
+    kernel.
     """
     timestamps, values = series.sample_points()
     top = 0 if top is None else top
@@ -278,32 +241,13 @@ def render_derived_series(series, view, framebuffer, color=(90, 220, 90),
     hi = float(np.max(values))
     bounds = (lo, hi if hi > lo else lo + 1.0)
     before = framebuffer.draw_calls
-    if vectorized:
-        if view.duration >= view.width:
-            xs, vmins, vmaxs = _column_extremes(timestamps, values,
-                                                view)
-        else:
-            xs, vmins, vmaxs = _column_extremes_zoomed(timestamps,
-                                                       values, view)
-        _draw_columns(framebuffer, xs, vmins, vmaxs, bounds, top,
-                      height, color)
-        return framebuffer.draw_calls - before
-    for x in range(view.width):
-        t0, t1 = view.pixel_interval(x)
-        first = int(np.searchsorted(timestamps, t0, side="left"))
-        last = int(np.searchsorted(timestamps, t1, side="left"))
-        if first < last:
-            window = values[first:last]
-            extremes = (float(window.min()), float(window.max()))
-        else:
-            center = (t0 + t1) // 2
-            if center < timestamps[0] or center > timestamps[-1]:
-                continue
-            value = float(np.interp(center, timestamps, values))
-            extremes = (value, value)
-        y_max = _value_to_y(extremes[0], bounds, top, height)
-        y_min = _value_to_y(extremes[1], bounds, top, height)
-        framebuffer.vertical_line(x, y_min, y_max, color)
+    if view.duration >= view.width:
+        xs, vmins, vmaxs = _column_extremes(timestamps, values, view)
+    else:
+        xs, vmins, vmaxs = _column_extremes_zoomed(timestamps, values,
+                                                   view)
+    _draw_columns(framebuffer, xs, vmins, vmaxs, bounds, top, height,
+                  color)
     return framebuffer.draw_calls - before
 
 

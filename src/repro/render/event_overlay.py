@@ -26,7 +26,7 @@ EVENT_COLORS = {
 
 
 def render_discrete_events(trace, view, framebuffer, kind=None,
-                           marker_height=3, vectorized=True):
+                           marker_height=3):
     """Draw markers for discrete events on every core lane.
 
     ``kind`` restricts to one :class:`DiscreteEventKind`.  Returns the
@@ -38,58 +38,39 @@ def render_discrete_events(trace, view, framebuffer, kind=None,
     are adjacent); the markers of *all* lanes are then painted with
     one batched draw per event kind.  Lanes are disjoint pixel rows
     and marker columns are distinct within a lane, so the batches
-    touch exactly the pixels of the per-event loop —
-    ``vectorized=False`` keeps that loop as the parity reference, with
-    identical pixels and draw-call counts.
+    touch exactly the pixels of the per-event loop kept in
+    :func:`repro.render.reference.render_discrete_events`, with
+    identical draw-call counts.
     """
     lane_height, lane_tops = view.lane_geometry(trace.num_cores)
     height = min(marker_height, lane_height)
-    markers = 0
     batch_xs, batch_tops, batch_kinds = [], [], []
     for core in range(trace.num_cores):
         columns = discrete_in_interval(trace, core, view.start, view.end,
                                        kind=kind)
-        timestamps = columns["timestamp"]
-        kinds = columns["kind"]
-        if len(timestamps) == 0:
-            continue
-        pixels = ((timestamps - view.start) * view.width
+        pixels = ((columns["timestamp"] - view.start) * view.width
                   // view.duration)
-        if vectorized:
-            visible = (pixels >= 0) & (pixels < view.width)
-            xs = pixels[visible]
-            if len(xs) == 0:
-                continue
-            first = np.ones(len(xs), dtype=bool)
-            first[1:] = xs[1:] != xs[:-1]
-            batch_xs.append(xs[first])
-            batch_kinds.append(kinds[visible][first])
-            batch_tops.append(np.full(int(first.sum()), lane_tops[core],
-                                      dtype=np.int64))
+        visible = (pixels >= 0) & (pixels < view.width)
+        xs = pixels[visible]
+        if len(xs) == 0:
             continue
-        seen = None
-        for index in range(len(pixels)):
-            x = int(pixels[index])
-            if x == seen or x < 0 or x >= view.width:
-                continue
-            seen = x
-            color = EVENT_COLORS.get(int(kinds[index]),
-                                     (200, 200, 200))
-            framebuffer.vertical_line(x, lane_tops[core],
-                                      lane_tops[core] + height - 1,
-                                      color)
-            markers += 1
-    if batch_xs:
-        xs = np.concatenate(batch_xs)
-        tops = np.concatenate(batch_tops)
-        marker_kinds = np.concatenate(batch_kinds)
-        for kind_value in np.unique(marker_kinds):
-            group = marker_kinds == kind_value
-            color = EVENT_COLORS.get(int(kind_value), (200, 200, 200))
-            framebuffer.vertical_lines(xs[group], tops[group],
-                                       tops[group] + height - 1, color)
-        markers += len(xs)
-    return markers
+        first = np.ones(len(xs), dtype=bool)
+        first[1:] = xs[1:] != xs[:-1]
+        batch_xs.append(xs[first])
+        batch_kinds.append(columns["kind"][visible][first])
+        batch_tops.append(np.full(int(first.sum()), lane_tops[core],
+                                  dtype=np.int64))
+    if not batch_xs:
+        return 0
+    xs = np.concatenate(batch_xs)
+    tops = np.concatenate(batch_tops)
+    marker_kinds = np.concatenate(batch_kinds)
+    for kind_value in np.unique(marker_kinds):
+        group = marker_kinds == kind_value
+        color = EVENT_COLORS.get(int(kind_value), (200, 200, 200))
+        framebuffer.vertical_lines(xs[group], tops[group],
+                                   tops[group] + height - 1, color)
+    return len(xs)
 
 
 def render_annotations(store, view, framebuffer, trace,

@@ -16,15 +16,15 @@ from .framebuffer import Framebuffer
 
 
 def render_matrix(matrix, cell_size=16, framebuffer=None, gap=1,
-                  vectorized=True, peak=None):
+                  peak=None):
     """Render a square matrix of fractions as a red-shaded grid.
 
     All cell shades come from one vectorized ramp evaluation
     (:func:`repro.render.colors.matrix_red_array`); the per-cell
     rectangle fills — the drawing operations the benchmarks count —
-    are unchanged.  ``vectorized=False`` keeps the per-cell
-    :func:`~repro.render.colors.matrix_red` calls as the parity
-    reference; both paths paint identical pixels.  ``peak`` overrides
+    are unchanged, and the pixels equal those of the per-cell
+    :func:`~repro.render.colors.matrix_red` loop kept in
+    :func:`repro.render.reference.render_matrix`.  ``peak`` overrides
     the normalization reference (default: this matrix's own maximum)
     so several panels can share one shade scale.
     """
@@ -40,15 +40,12 @@ def render_matrix(matrix, cell_size=16, framebuffer=None, gap=1,
     side_x = cols * (cell_size + gap) + gap
     if framebuffer is None:
         framebuffer = Framebuffer(side_x, side_y, background=(255, 255, 255))
-    shades = (palettes.matrix_red_array(matrix / peak) if vectorized
-              else None)
+    shades = palettes.matrix_red_array(matrix / peak)
     for row in range(rows):
         for col in range(cols):
-            color = (shades[row, col] if shades is not None
-                     else palettes.matrix_red(matrix[row, col] / peak))
             framebuffer.fill_rect(gap + col * (cell_size + gap),
                                   gap + row * (cell_size + gap),
-                                  cell_size, cell_size, color)
+                                  cell_size, cell_size, shades[row, col])
     return framebuffer
 
 

@@ -147,10 +147,7 @@ class StateMode(TimelineMode):
         sums, O(width log n) per lane at any zoom, bit-identical to
         the :func:`_predominant_keys` reference.  ``None`` when the
         lane cannot be indexed."""
-        indexed = getattr(trace, "state_index", None)
-        if indexed is None:
-            return None
-        index = indexed(core)
+        index = trace.state_index(core)
         if index is None:
             return None
         return index.pixel_keys(view)

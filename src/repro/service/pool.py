@@ -2,8 +2,8 @@
 
 A naive multi-client server opens the trace file once per request —
 N clients, N parses, N copies of every lane.  The pool replaces that
-with *one* memory-mapped :class:`~repro.core.columnar.ColumnarTrace`
-per distinct trace file, shared by every session that has the trace
+with *one* memory-mapped :class:`~repro.core.trace.Trace` per
+distinct trace file, shared by every session that has the trace
 open:
 
 * **LRU eviction.**  At most ``capacity`` traces stay resident; the
@@ -43,11 +43,10 @@ class PoolEntry:
     """One resident trace: the shared store plus its coordination
     state.
 
-    ``trace`` is the memory-mapped (or, with ``cache=False``, parsed)
-    columnar store every session of this path shares; ``lock``
-    serializes access to the store's memoized structures; ``stamp`` is
-    the source file's identity (size + mtime) at open time, checked on
-    every later acquisition.
+    ``trace`` is the memory-mapped store every session of this path
+    shares; ``lock`` serializes access to the store's memoized
+    structures; ``stamp`` is the source file's identity (size + mtime)
+    at open time, checked on every later acquisition.
     """
 
     path: str
@@ -60,18 +59,15 @@ class PoolEntry:
 class MappedCachePool:
     """An LRU pool of shared, memory-mapped trace stores.
 
-    ``capacity`` bounds the number of resident traces; ``cache``
-    selects the open path (``True``: through the ``.ostc`` sidecar —
-    the production configuration; ``False``: parse into a private
-    columnar store, used only to baseline the benchmark).  All methods
-    are thread-safe.
+    ``capacity`` bounds the number of resident traces; every trace is
+    opened through its ``.ostc`` sidecar.  All methods are
+    thread-safe.
     """
 
-    def __init__(self, capacity=8, cache=True):
+    def __init__(self, capacity=8):
         if capacity < 1:
             raise ValueError("pool capacity must be at least 1")
         self.capacity = int(capacity)
-        self.cache = cache
         self._entries: "OrderedDict[str, PoolEntry]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
@@ -81,9 +77,7 @@ class MappedCachePool:
 
     def _open(self, path):
         from ..trace_format import read_trace
-        if self.cache:
-            return read_trace(path, cache=True)
-        return read_trace(path, columnar=True)
+        return read_trace(path, cache=True)
 
     def entry(self, path) -> PoolEntry:
         """The shared :class:`PoolEntry` for ``path``, opening (or

@@ -55,19 +55,15 @@ class AnalysisSession:
         """Start a session straight from a trace file.
 
         The interactive loop wants time-to-first-pixel, so by default
-        the trace is opened through the memory-mapped columnar cache
+        the trace is opened through the memory-mapped sidecar cache
         (``read_trace(path, cache=True)``): the first open parses once
         and writes the ``.ostc`` sidecar, every later open maps it back
-        in milliseconds.  ``cache=False`` parses into a (non-mapped)
-        columnar store instead; either way the session holds a store
-        every analysis and render entry point accepts.
+        in milliseconds.  ``cache=False`` parses into an in-memory
+        store instead.
         """
         from .trace_format import read_trace
-        if cache:
-            trace = read_trace(path, cache=cache)
-        else:
-            trace = read_trace(path, columnar=True)
-        return cls(trace, width=width, height=height)
+        return cls(read_trace(path, cache=cache), width=width,
+                   height=height)
 
     # -- navigation ---------------------------------------------------
     def _move(self, view):
@@ -336,13 +332,11 @@ class MultiTraceSession:
     @classmethod
     def open(cls, paths, width=1024, height=256, cache=True):
         """Start a synchronized session over N trace files, each
-        opened through the memory-mapped columnar cache by default
+        opened through the memory-mapped sidecar cache by default
         (the :meth:`AnalysisSession.open` fast path, once per file)."""
         import os
         from .trace_format import read_trace
-        traces = [read_trace(str(path), cache=True) if cache
-                  else read_trace(str(path), columnar=True)
-                  for path in paths]
+        traces = [read_trace(str(path), cache=cache) for path in paths]
         names = [os.path.splitext(os.path.basename(str(path)))[0]
                  for path in paths]
         return cls(traces, names=names, width=width, height=height)

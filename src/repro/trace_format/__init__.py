@@ -9,8 +9,8 @@ from .cache import (CacheError, MappedPyramids, StaleCacheError,
                     default_cache_path, load_cache, write_cache)
 from .chunked import (ChunkEntry, ChunkIndex, SalvageReport, ScanStats,
                       TraceVerification, read_chunk_index,
-                      read_window_columnar, salvage_records,
-                      salvage_trace, stream_window_records, verify_trace)
+                      salvage_records, salvage_trace,
+                      stream_window_records, verify_trace)
 from .chrome import export_chrome, import_chrome
 from .compression import codec_for_path, open_trace_file
 from .format import (CorruptChunkError, FormatError, MAGIC, RecordTag,
@@ -31,7 +31,7 @@ __all__ = ["CacheError", "MappedPyramids", "StaleCacheError",
            "default_cache_path", "load_cache", "write_cache",
            "ChunkEntry", "ChunkIndex", "SalvageReport", "ScanStats",
            "TraceVerification", "read_chunk_index",
-           "read_window_columnar", "salvage_records", "salvage_trace",
+           "salvage_records", "salvage_trace",
            "stream_window_records", "verify_trace",
            "codec_for_path", "open_trace_file",
            "CorruptChunkError", "FormatError", "MAGIC", "RecordTag",

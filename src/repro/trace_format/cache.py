@@ -1,23 +1,23 @@
-"""Memory-mapped columnar trace cache (the ``.ostc`` sidecar).
+"""Memory-mapped trace cache (the ``.ostc`` sidecar).
 
 Parsing a trace file rebuilds the Section VI-B-c arrays — one sorted
 structured array per core and per record kind — from scratch on every
 open, which dominates the time-to-first-pixel of an interactive
-session.  This module persists a :class:`~repro.core.columnar.
-ColumnarTrace` *in its final memory layout*: a small JSON header (the
+session.  This module persists a :class:`~repro.core.trace.Trace`
+*in its final memory layout*: a small JSON header (the
 static records plus an array manifest) followed by the raw bytes of
 every lane, 64-byte aligned.  Reopening maps the file with
 ``np.memmap`` and wraps the manifest's byte ranges as structured-array
 views — no parsing, no copying, and no page is read until a query
 slices into it.  Combined with
-:meth:`~repro.core.columnar.ColumnarTrace.slice_time_window`, a
+:meth:`~repro.core.trace.Trace.slice_time_window`, a
 windowed query on a cached million-event trace touches only the pages
 of the binary-searched slices.
 
 Entry points:
 
-* :func:`write_cache` — serialize a trace (either store) to a sidecar;
-* :func:`load_cache` — map a sidecar back as a ``ColumnarTrace``;
+* :func:`write_cache` — serialize a trace to a sidecar;
+* :func:`load_cache` — map a sidecar back as a ``Trace``;
 * :func:`default_cache_path` — the conventional sidecar location;
 * ``read_trace(path, cache=True)`` — the convenience wrapper in
   :mod:`repro.trace_format.reader`: load the sidecar when fresh,
@@ -36,9 +36,8 @@ import struct
 
 import numpy as np
 
-from ..core.columnar import (ACCESS_DTYPE, COMM_DTYPE, COUNTER_DTYPE,
-                             ColumnarTrace, DISCRETE_DTYPE, STATE_DTYPE,
-                             TASK_DTYPE)
+from ..core.trace import (ACCESS_DTYPE, COMM_DTYPE, COUNTER_DTYPE,
+                          DISCRETE_DTYPE, STATE_DTYPE, TASK_DTYPE, Trace)
 from ..core.events import (CounterDescription, RegionInfo, TaskTypeInfo,
                            TopologyInfo)
 from ..core.interval_tree import DEFAULT_ARITY, MinMaxTree
@@ -117,7 +116,7 @@ _source_stamp = source_stamp
 
 
 def write_cache(trace, cache_path, source_path=None, source_stamp=None):
-    """Serialize ``trace`` (either store) to an ``.ostc`` sidecar.
+    """Serialize ``trace`` to an ``.ostc`` sidecar.
 
     ``source_path``, when given, stamps the sidecar with the trace
     file's size and mtime so :func:`load_cache` can detect staleness.
@@ -127,7 +126,6 @@ def write_cache(trace, cache_path, source_path=None, source_stamp=None):
     parse makes the sidecar stale instead of freshly mis-stamped.
     Returns the number of bytes written.
     """
-    columnar = trace.to_columnar()
     blobs = []            # (offset-in-data-section, bytes)
     manifest = {}
     cursor = 0
@@ -144,17 +142,17 @@ def write_cache(trace, cache_path, source_path=None, source_stamp=None):
         return [offset, int(len(lane))]
 
     manifest["states"] = [add_blob(lane)
-                          for lane in columnar.states.lanes]
-    manifest["tasks"] = [add_blob(lane) for lane in columnar.tasks.lanes]
+                          for lane in trace.states.lanes]
+    manifest["tasks"] = [add_blob(lane) for lane in trace.tasks.lanes]
     manifest["discrete"] = [add_blob(lane)
-                            for lane in columnar.discrete.lanes]
+                            for lane in trace.discrete.lanes]
     manifest["comm"] = [add_blob(lane)
-                        for lane in columnar.comm_lanes.lanes]
+                        for lane in trace.comm_lanes.lanes]
     manifest["accesses"] = [add_blob(lane)
-                            for lane in columnar.access_lanes.lanes]
+                            for lane in trace.access_lanes.lanes]
     manifest["counters"] = [
-        [int(key[0]), int(key[1])] + add_blob(columnar.counter_lanes[key])
-        for key in sorted(columnar.counter_lanes)]
+        [int(key[0]), int(key[1])] + add_blob(trace.counter_lanes[key])
+        for key in sorted(trace.counter_lanes)]
 
     # Persisted render pyramids (Section VI-B): the internal min/max
     # tree levels of every counter lane, and the state index + tiles
@@ -178,8 +176,8 @@ def write_cache(trace, cache_path, source_path=None, source_stamp=None):
     from ..render.counter_overlay import _column_extremes
     from ..render.timeline import TimelineView
     manifest["counter_pyramids"] = []
-    for key in sorted(columnar.counter_lanes):
-        lane = columnar.counter_lanes[key]
+    for key in sorted(trace.counter_lanes):
+        lane = trace.counter_lanes[key]
         tree = MinMaxTree(lane["value"], arity=DEFAULT_ARITY)
         levels = []
         for level in range(1, tree.levels):
@@ -188,11 +186,9 @@ def write_cache(trace, cache_path, source_path=None, source_stamp=None):
             levels.append([mins[0], maxs[0], mins[1]])
         tiles = []
         if len(lane):
-            for count in tile_level_counts(columnar.end
-                                           - columnar.begin):
-                view = TimelineView(start=columnar.begin,
-                                    end=columnar.end, width=count,
-                                    height=1)
+            for count in tile_level_counts(trace.end - trace.begin):
+                view = TimelineView(start=trace.begin, end=trace.end,
+                                    width=count, height=1)
                 xs, vmins, vmaxs = _column_extremes(
                     lane["timestamp"], lane["value"], view, tree=tree)
                 full_mins = np.full(count, np.nan, dtype=np.float64)
@@ -205,13 +201,13 @@ def write_cache(trace, cache_path, source_path=None, source_stamp=None):
             [int(key[0]), int(key[1]), add_blob(tree._mins[0]), levels,
              tiles])
     manifest["state_pyramids"] = []
-    for core, lane in enumerate(columnar.states.lanes):
+    for core, lane in enumerate(trace.states.lanes):
         index = StateIndex.build(lane["start"], lane["end"],
                                  lane["state"])
         if index is None:
             continue
         tiles = build_state_tiles(index, lane["start"],
-                                  columnar.begin, columnar.end)
+                                  trace.begin, trace.end)
         tile_entries = []
         for dominant, events in tiles.levels:
             dom = add_blob(dominant)
@@ -226,25 +222,25 @@ def write_cache(trace, cache_path, source_path=None, source_stamp=None):
 
     header = {
         "version": CACHE_VERSION,
-        "topology": {"num_nodes": columnar.topology.num_nodes,
-                     "cores_per_node": columnar.topology.cores_per_node,
-                     "name": columnar.topology.name},
+        "topology": {"num_nodes": trace.topology.num_nodes,
+                     "cores_per_node": trace.topology.cores_per_node,
+                     "name": trace.topology.name},
         "counter_descriptions": [
             {"counter_id": description.counter_id,
              "name": description.name,
              "monotone": bool(description.monotone)}
-            for description in columnar.counter_descriptions],
+            for description in trace.counter_descriptions],
         "task_types": [
             {"type_id": info.type_id, "name": info.name,
              "address": info.address, "source_file": info.source_file,
              "source_line": info.source_line}
-            for info in columnar.task_types],
+            for info in trace.task_types],
         "regions": [
             {"region_id": info.region_id, "address": info.address,
              "size": info.size, "page_nodes": list(info.page_nodes),
              "name": info.name}
-            for info in columnar.regions],
-        "time_bounds": [int(columnar.begin), int(columnar.end)],
+            for info in trace.regions],
+        "time_bounds": [int(trace.begin), int(trace.end)],
         "pyramid": {"arity": DEFAULT_ARITY},
         "dtypes": _DTYPE_TABLE,
         "manifest": manifest,
@@ -322,7 +318,7 @@ def _parse_header(cache_path):
             raise CacheError("cache file too small: " + str(cache_path))
         magic, version, header_length = _PREFIX.unpack(prefix)
         if magic != CACHE_MAGIC:
-            raise CacheError("not a columnar trace cache (bad magic)")
+            raise CacheError("not a trace cache sidecar (bad magic)")
         if version != CACHE_VERSION:
             raise CacheError(
                 "unsupported cache version {}".format(version))
@@ -353,7 +349,7 @@ class MappedPyramids:
       :class:`~repro.core.pyramid.StateTiles`.
 
     Memoization lives on the trace store
-    (:meth:`~repro.core.trace.EventViewMixin.minmax_tree`,
+    (:meth:`~repro.core.trace.Trace.minmax_tree`,
     ``state_index``, ``state_tiles``), not here.
     """
 
@@ -437,7 +433,7 @@ class MappedPyramids:
 
 
 def load_cache(cache_path, source_path=None):
-    """Map an ``.ostc`` sidecar as a :class:`ColumnarTrace`.
+    """Map an ``.ostc`` sidecar as a :class:`~repro.core.trace.Trace`.
 
     The returned store's lanes are read-only views into one
     ``np.memmap`` over the file; nothing is parsed or copied, and only
@@ -489,7 +485,7 @@ def load_cache(cache_path, source_path=None):
         counter_lanes = {
             (entry[0], entry[1]): lane_view(entry[2:], COUNTER_DTYPE)
             for entry in manifest["counters"]}
-        return ColumnarTrace(
+        return Trace(
             pyramids=MappedPyramids(lane_view, header),
             topology=topology,
             states=lanes["states"], tasks=lanes["tasks"],

@@ -13,7 +13,7 @@ Two fidelity levels share one file format:
   ``otherData.repro`` block with the machine topology and the static
   description tables, and use raw cycle timestamps.  They re-import
   **losslessly** — every record kind including memory accesses, so
-  :func:`repro.core.columnar.traces_equal` holds exactly across the
+  :func:`repro.core.trace.traces_equal` holds exactly across the
   round trip.
 * Foreign files (no ``repro`` block) follow Chrome conventions:
   microsecond ``ts`` floats (scaled to integer nanoseconds on import),
@@ -30,6 +30,7 @@ import json
 from ..core.events import (STATE_NAMES, CounterDescription,
                            DiscreteEventKind, RegionInfo, TaskTypeInfo,
                            TopologyInfo)
+from ..core.trace import TraceBuilder
 from .format import FormatError
 
 
@@ -307,22 +308,15 @@ def _import_foreign(builder, events):
     return max(len(lanes), 1)
 
 
-def import_chrome(path, columnar=False):
+def import_chrome(path):
     """Load a Chrome trace-event JSON file into a trace store.
 
-    Files produced by :func:`export_chrome` round-trip exactly
-    (``columnar=True`` returns the
-    :class:`~repro.core.columnar.ColumnarTrace`); foreign files are
-    normalized per the module docstring.
+    Files produced by :func:`export_chrome` round-trip exactly;
+    foreign files are normalized per the module docstring.
     """
     document = _load_document(path)
     repro = (document.get("otherData") or {}).get("repro")
-    if columnar:
-        from ..core.columnar import ColumnarBuilder
-        builder = ColumnarBuilder()
-    else:
-        from ..core.trace import TraceBuilder
-        builder = TraceBuilder(None)
+    builder = TraceBuilder()
     events = document["traceEvents"]
     if repro is not None:
         topology = _install_metadata(builder, repro)
@@ -331,5 +325,5 @@ def import_chrome(path, columnar=False):
         cores = _import_foreign(builder, events)
         topology = TopologyInfo(num_nodes=1, cores_per_node=cores,
                                 name="chrome")
-    builder.topology = topology
+    builder.set_topology(topology)
     return builder.build()

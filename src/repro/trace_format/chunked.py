@@ -244,40 +244,6 @@ def stream_window_records(path, start, end, stats=None):
             yield from iter_chunk_records(stream, entry, stats)
 
 
-def read_window_columnar(path, start, end, stats=None, cache=None):
-    """Seek-to-window extraction straight into a
-    :class:`~repro.core.columnar.ColumnarTrace`.
-
-    The chunk-seeking twin of ``read_trace(path, columnar=True)``: the
-    preamble and the chunks overlapping ``[start, end)`` are parsed
-    directly into per-core columns — per-event objects are never
-    materialized — and unindexed or compressed files fall back to the
-    full scan like :func:`stream_window_records` itself.
-
-    ``cache`` (``True`` for the conventional sidecar, or an explicit
-    path) short-circuits the file entirely when a fresh ``.ostc``
-    mapped cache exists: the window is then a zero-copy
-    :meth:`~repro.core.columnar.ColumnarTrace.slice_time_window` over
-    the memory-mapped lanes — no chunk is parsed and ``stats`` is left
-    untouched (no trace-file bytes are read).  Without a usable cache
-    the chunk-seeking path below runs unchanged.
-    """
-    if cache:
-        from .cache import CacheError, default_cache_path, load_cache
-        cache_path = (default_cache_path(path) if cache is True
-                      else str(cache))
-        try:
-            mapped = load_cache(cache_path, source_path=path)
-        except (OSError, CacheError):
-            mapped = None
-        if mapped is not None:
-            return mapped.slice_time_window(start, end)
-    from .streaming import build_window
-    return build_window(stream_window_records(path, start, end,
-                                              stats=stats),
-                        start, end, columnar=True)
-
-
 # --- corruption tolerance: verification and salvage -------------------------
 
 
@@ -460,7 +426,7 @@ def _salvage_iter(path, report_box):
         reason=reason)
 
 
-def salvage_trace(path, columnar=True):
+def salvage_trace(path):
     """Build a trace store from the verified prefix of a damaged file.
 
     Returns ``(trace, report)``.  Raises
@@ -469,5 +435,5 @@ def salvage_trace(path, columnar=True):
     static tables there is no trace to build).
     """
     records, report_box = salvage_records(path)
-    trace = build_trace(records, columnar=columnar)
+    trace = build_trace(records)
     return trace, report_box[0]

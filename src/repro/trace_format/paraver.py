@@ -33,6 +33,7 @@ import re
 
 from ..core.events import (STATE_NAMES, DiscreteEventKind, TopologyInfo,
                            WorkerState)
+from ..core.trace import TraceBuilder
 from .format import FormatError
 
 #: Paraver event type ids used by the export.
@@ -245,12 +246,10 @@ def _parse_pcf(pcf_path, builder):
                     name=stripped.split(None, 1)[1]))
 
 
-def import_paraver(path, columnar=False):
+def import_paraver(path):
     """Load a ``.prv`` trace (plus its ``.pcf``, when present).
 
-    Returns the object-model :class:`~repro.core.trace.Trace`
-    (``columnar=True``: the
-    :class:`~repro.core.columnar.ColumnarTrace`).  Files exported by
+    Returns a :class:`~repro.core.trace.Trace`.  Files exported by
     :func:`export_paraver` round-trip exactly except for memory
     accesses; any compliant ``.prv`` file yields at least its state
     records, so the state-based analyses work on foreign traces too.
@@ -258,12 +257,7 @@ def import_paraver(path, columnar=False):
     with open(path) as handle:
         header = handle.readline()
         topology = _parse_header(header)
-        if columnar:
-            from ..core.columnar import ColumnarBuilder
-            builder = ColumnarBuilder(topology)
-        else:
-            from ..core.trace import TraceBuilder
-            builder = TraceBuilder(topology)
+        builder = TraceBuilder(topology)
         _parse_pcf(str(path)[:-4] + ".pcf", builder)
         for lineno, line in enumerate(handle, start=2):
             line = line.strip()

@@ -135,24 +135,24 @@ def _skip_chunk_index(stream, v2=False):
         raise fmt.FormatError("corrupt chunk-index trailer")
 
 
-def read_trace(path, columnar=False, cache=None):
-    """Load a trace file and return the indexed trace.
+def read_trace(path, columnar=None, cache=None):
+    """Load a trace file and return the indexed
+    :class:`~repro.core.trace.Trace`.
 
-    ``columnar=False`` (the default) returns the object-model
-    :class:`~repro.core.trace.Trace`.  ``columnar=True`` returns the
-    per-core structured-array
-    :class:`~repro.core.columnar.ColumnarTrace`, filling the arrays
-    directly while parsing — no per-event objects, and no whole-file
-    record buffering.
+    The per-core lanes are filled directly while parsing — no
+    per-event objects, and no whole-file record buffering.
 
-    ``cache`` enables the memory-mapped columnar sidecar
+    ``cache`` enables the memory-mapped sidecar
     (:mod:`repro.trace_format.cache`): ``True`` uses the conventional
     ``.ostc`` path next to the trace, a string/path names it
     explicitly.  A fresh sidecar is mapped back in milliseconds
     (no parsing; pages load lazily); a missing, stale or corrupt one
     triggers a single parse that writes the sidecar through for the
-    next open.  With ``cache`` set the result is always the columnar
-    store.
+    next open.
+
+    ``columnar`` is accepted and ignored: there is only one trace
+    store.  The keyword stays because the benchmark's span shim
+    (``perfbench/tracing.py``) wraps this function and forwards it.
     """
     if cache:
         from .cache import (CacheError, default_cache_path,
@@ -165,16 +165,17 @@ def read_trace(path, columnar=False, cache=None):
             pass
         # Stamp the source *before* the (slow) parse: if the trace file
         # changes while parsing, the sidecar must come out stale, not
-        # freshly stamped over wrong data.
+        # freshly stamped over wrong data.  The parse goes through the
+        # module-level name so wrappers installed on it see it.
         stamp = source_stamp(path)
-        trace = read_trace(path, columnar=True)
+        trace = read_trace(path)
         try:
             write_cache(trace, cache_path, source_stamp=stamp)
         except OSError:
             pass            # unwritable location: serve the parse
         return trace
     with open_trace_file(path, "rb") as raw:
-        return read_trace_stream(raw, columnar=columnar)
+        return read_trace_stream(raw)
 
 
 def register_counter_description(builder, description):
@@ -186,60 +187,24 @@ def register_counter_description(builder, description):
     builder.counter_descriptions.append(description)
 
 
-def read_trace_stream(raw, columnar=False):
+def read_trace_stream(raw):
     """Load a trace from an open binary stream (header included)."""
     stream = _Stream(raw)
     check_header(stream)
-    return build_trace(parse_records(stream), columnar=columnar)
+    return build_trace(parse_records(stream))
 
 
-def build_trace(records, columnar=False):
+def build_trace(records):
     """Fold an iterable of ``(kind, fields)`` pairs — the shape
     :func:`parse_records` yields — into a trace store.
 
     Shared by the full-file readers and the corruption-salvage path
     (:func:`repro.trace_format.chunked.salvage_trace`), which feeds
     only the verified prefix of a damaged file through the same
-    builders.
+    builder.  The builder tolerates a topology arriving anywhere, so
+    events append to their columns as they are parsed.
     """
-    if columnar:
-        return _build_columnar(records)
-    topology = None
-    counters = []
-    task_types = []
-    regions = []
-    events = []
-    for kind, fields in records:
-        if kind == "topology":
-            topology = fields
-        elif kind == "counter_description":
-            counters.append(fields)
-        elif kind == "task_type":
-            task_types.append(fields)
-        elif kind == "region":
-            regions.append(fields)
-        else:
-            events.append((kind, fields))
-    if topology is None:
-        raise fmt.FormatError("trace has no topology record")
-    builder = TraceBuilder(topology)
-    for description in counters:
-        register_counter_description(builder, description)
-    for info in task_types:
-        builder.describe_task_type(info)
-    for info in regions:
-        builder.describe_region(info)
-    for record, fields in events:
-        getattr(builder, record)(*fields)
-    return builder.build()
-
-
-def _build_columnar(records):
-    """Fill a :class:`~repro.core.columnar.ColumnarBuilder` straight
-    from the record stream.  The builder tolerates a topology arriving
-    anywhere, so events append to their columns as they are parsed."""
-    from ..core.columnar import ColumnarBuilder
-    builder = ColumnarBuilder()
+    builder = TraceBuilder()
     for kind, fields in records:
         if kind == "topology":
             builder.set_topology(fields)

@@ -61,26 +61,26 @@ BATCHABLE_KINDS = frozenset((
     "state_interval", "task_execution", "counter_sample",
     "discrete_event", "comm_event", "memory_access"))
 
-#: Records buffered per kind before a columnar flush.
+#: Records buffered per kind before a batch flush.
 DEFAULT_BATCH_RECORDS = 65536
 
 
-def fold_records(records, accumulator, columnar=False,
+def fold_records(records, accumulator,
                  batch_records=DEFAULT_BATCH_RECORDS):
     """Fold a ``(kind, fields)`` stream into an accumulator.
 
-    With ``columnar=False`` this is the plain per-record ``consume``
-    loop.  With ``columnar=True`` event records are buffered per kind
-    and handed to the accumulator's vectorized ``consume_batch(kind,
-    columns)`` in batches of ``batch_records`` — same results (every
-    accumulator aggregate is a sum, min or max), much less per-record
-    Python work.  An accumulator's ``batch_kinds`` attribute restricts
-    which kinds are worth buffering (default: every event kind);
-    accumulators without ``consume_batch`` silently fall back to the
-    scalar loop.  Returns ``accumulator``.
+    Event records are buffered per kind and handed to the
+    accumulator's vectorized ``consume_batch(kind, columns)`` in
+    batches of ``batch_records`` — the same results as one ``consume``
+    call per record (every accumulator aggregate is a sum, min or
+    max), with much less per-record Python work.  An accumulator's
+    ``batch_kinds`` attribute restricts which kinds are worth
+    buffering (default: every event kind); accumulators without
+    ``consume_batch`` get the plain per-record ``consume`` loop.
+    Returns ``accumulator``.
     """
     consume_batch = getattr(accumulator, "consume_batch", None)
-    if not columnar or consume_batch is None:
+    if consume_batch is None:
         for kind, fields in records:
             accumulator.consume(kind, fields)
         return accumulator
@@ -281,16 +281,14 @@ class StreamingStatistics:
         return "\n".join(lines)
 
 
-def streaming_statistics(path, columnar=False):
+def streaming_statistics(path):
     """One out-of-core pass: summary statistics of a trace file.
 
-    ``columnar=True`` folds the records through the vectorized batch
-    path (:func:`fold_records`) — identical results, less per-record
-    work.  For the sharded multi-process equivalent see
-    :func:`repro.analysis.parallel.parallel_streaming_statistics`.
+    The records go through the vectorized batch path
+    (:func:`fold_records`).  For the sharded multi-process equivalent
+    see :func:`repro.analysis.parallel.parallel_streaming_statistics`.
     """
-    return fold_records(stream_records(path), StreamingStatistics(),
-                        columnar=columnar)
+    return fold_records(stream_records(path), StreamingStatistics())
 
 
 def streaming_state_summary(path):
@@ -349,106 +347,90 @@ class TaskHistogramAccumulator:
         return self
 
 
-def streaming_task_histogram(path, bins, value_range, columnar=False):
+def streaming_task_histogram(path, bins, value_range):
     """Out-of-core task-duration histogram with fixed bin edges.
 
     ``value_range = (lo, hi)`` must be given up front (a streaming pass
     cannot know the duration range in advance); durations outside it
-    are clamped into the edge bins.  ``columnar=True`` uses the
-    vectorized batch path.  Returns ``(edges, counts)``.
+    are clamped into the edge bins.  Returns ``(edges, counts)``.
     """
     accumulator = fold_records(stream_records(path),
-                               TaskHistogramAccumulator(bins, value_range),
-                               columnar=columnar)
+                               TaskHistogramAccumulator(bins, value_range))
     return accumulator.edges, accumulator.counts
 
 
 def split_time_window(path, start, end, use_index=True, stats=None,
-                      columnar=False, cache=None):
+                      cache=None):
     """Extract [start, end) of a huge trace into an in-memory trace.
 
     Static records are kept in full; event records are dropped unless
     they overlap the window.  This is the out-of-core navigation
-    pattern: stream once, then interact with the small window.
+    pattern: stream once, then interact with the small window.  The
+    window's lanes are filled straight from the records, without
+    materializing per-event objects.
 
     When the file carries a chunk index and ``use_index`` is true, the
     pass seeks directly to the overlapping chunks and reads only those
     bytes; unindexed (or compressed) files fall back to the full scan.
     ``stats``, if given, is a
     :class:`~repro.trace_format.chunked.ScanStats` reporting how many
-    bytes the extraction actually read.  ``columnar=True`` assembles a
-    :class:`~repro.core.columnar.ColumnarTrace` instead of a
-    :class:`Trace`, without materializing per-event objects.
+    bytes the extraction actually read.
 
-    ``cache`` (columnar only) serves the window as a zero-copy slice
-    of the memory-mapped ``.ostc`` sidecar when one is fresh — see
-    :func:`repro.trace_format.chunked.read_window_columnar`.
+    ``cache`` (``True`` for the conventional sidecar, or an explicit
+    path) short-circuits the file entirely when a fresh ``.ostc``
+    mapped cache exists: the window is then a zero-copy
+    :meth:`~repro.core.trace.Trace.slice_time_window` over the
+    memory-mapped lanes — no record is parsed and ``stats`` is left
+    untouched.  Without a usable cache the file is read as above.
     """
     if cache:
-        if not columnar:
-            raise ValueError("cache-served windows are columnar; pass "
-                             "columnar=True")
-        from .chunked import read_window_columnar
-        return read_window_columnar(path, start, end, stats=stats,
-                                    cache=cache)
+        from .cache import CacheError, default_cache_path, load_cache
+        cache_path = (default_cache_path(path) if cache is True
+                      else str(cache))
+        try:
+            mapped = load_cache(cache_path, source_path=path)
+        except (OSError, CacheError):
+            mapped = None
+        if mapped is not None:
+            return mapped.slice_time_window(start, end)
     if use_index:
         from .chunked import stream_window_records
         records = stream_window_records(path, start, end, stats=stats)
     else:
         records = stream_records(path)
-    return build_window(records, start, end, columnar=columnar)
+    return build_window(records, start, end)
 
 
-def build_window(records, start, end, columnar=False):
+def build_window(records, start, end):
     """Assemble an in-memory trace from a ``(kind, fields)`` stream,
     keeping static records and the events overlapping ``[start, end)``.
     Factored out of :func:`split_time_window` so the sequential and the
-    chunk-seeking paths share the exact same filtering semantics; the
-    ``columnar`` flag only swaps the builder
-    (:class:`~repro.core.trace.TraceBuilder` vs.
-    :class:`~repro.core.columnar.ColumnarBuilder`)."""
-    from ..core.columnar import ColumnarBuilder
+    chunk-seeking paths share the exact same filtering semantics."""
     from .reader import register_counter_description
 
-    def add_static(builder, kind, fields):
-        if kind == "counter_description":
+    builder = TraceBuilder()
+    for kind, fields in records:
+        if kind == "topology":
+            builder.set_topology(fields)
+        elif kind == "counter_description":
             register_counter_description(builder, fields)
         elif kind == "task_type":
             builder.describe_task_type(fields)
-        else:
+        elif kind == "region":
             builder.describe_region(fields)
-
-    builder_class = ColumnarBuilder if columnar else TraceBuilder
-    builder = None
-    pending_static = []
-    for kind, fields in records:
-        if kind == "topology":
-            builder = builder_class(fields)
-            for static_kind, payload in pending_static:
-                add_static(builder, static_kind, payload)
-            continue
-        if kind in ("counter_description", "task_type", "region"):
-            if builder is None:
-                pending_static.append((kind, fields))
-            else:
-                add_static(builder, kind, fields)
-            continue
-        if builder is None:
+        elif builder.topology is None:
             raise fmt.FormatError("event record before topology")
-        if kind in ("state_interval", "task_execution"):
+        elif kind in ("state_interval", "task_execution"):
             ev_start, ev_end = fields[-2], fields[-1]
             if ev_start < end and ev_end > start:
                 getattr(builder, kind)(*fields)
-        elif kind in ("counter_sample", "discrete_event"):
-            timestamp = fields[2]
-            if start <= timestamp < end:
-                getattr(builder, kind)(*fields)
-        elif kind == "comm_event":
-            if start <= fields[2] < end:
-                builder.comm_event(*fields)
         elif kind == "memory_access":
             if start <= fields[5] < end:
                 builder.memory_access(*fields)
-    if builder is None:
+        elif start <= fields[2] < end:
+            # Point records: counter samples, discrete and
+            # communication events all carry their timestamp third.
+            getattr(builder, kind)(*fields)
+    if builder.topology is None:
         raise fmt.FormatError("trace has no topology record")
     return builder.build()

@@ -75,7 +75,7 @@ class TestDurationOutliers:
 
 class TestLocalityAnomalies:
     def test_non_optimized_flagged(self):
-        from repro.experiments import seidel_trace
+        from repro.analysis.experiments import seidel_trace
         __, trace = seidel_trace(optimized=False, scale="small", seed=4,
                                  collect_rusage=False)
         findings = detect_locality_anomalies(trace, num_intervals=10)
@@ -83,7 +83,7 @@ class TestLocalityAnomalies:
         assert findings[0].severity > 0.4
 
     def test_optimized_mostly_clean(self):
-        from repro.experiments import seidel_trace
+        from repro.analysis.experiments import seidel_trace
         __, trace = seidel_trace(optimized=True, scale="small", seed=4,
                                  collect_rusage=False)
         findings = detect_locality_anomalies(trace, num_intervals=10,

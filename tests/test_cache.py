@@ -1,4 +1,4 @@
-"""Tests for the memory-mapped columnar trace cache (``.ostc``)."""
+"""Tests for the memory-mapped trace cache (the ``.ostc`` sidecar)."""
 
 import os
 import time
@@ -8,7 +8,7 @@ import pytest
 
 from repro.core import traces_equal
 from repro.session import AnalysisSession
-from repro.trace_format import (CacheError, StaleCacheError,
+from repro.trace_format import (CacheError, ScanStats, StaleCacheError,
                                 default_cache_path, load_cache,
                                 read_trace, split_time_window,
                                 write_cache, write_trace)
@@ -135,10 +135,19 @@ class TestSessionOpen:
 
 
 class TestCacheWindows:
-    def test_split_time_window_requires_columnar(self, trace_file):
-        path, __ = trace_file
-        with pytest.raises(ValueError):
-            split_time_window(path, 0, 10, cache=True)
+    def test_cache_window_without_sidecar_reads_the_file(self,
+                                                          trace_file):
+        """No sidecar yet: a cache-enabled window falls back to the
+        chunk-seeking read (and does not write a sidecar)."""
+        path, trace = trace_file
+        span = trace.end - trace.begin
+        start, end = trace.begin + span // 3, trace.begin + span // 2
+        stats = ScanStats()
+        window = split_time_window(path, start, end, stats=stats,
+                                   cache=True)
+        assert stats.bytes_read > 0
+        assert not os.path.exists(default_cache_path(path))
+        assert traces_equal(window, split_time_window(path, start, end))
 
     def test_cache_served_window_matches_scan(self, trace_file):
         path, trace = trace_file
@@ -146,10 +155,11 @@ class TestCacheWindows:
         span = trace.end - trace.begin
         start = trace.begin + span // 3
         end = trace.begin + (2 * span) // 3
-        assert traces_equal(
-            split_time_window(path, start, end, columnar=True,
-                              cache=True),
-            split_time_window(path, start, end))
+        stats = ScanStats()
+        served = split_time_window(path, start, end, stats=stats,
+                                   cache=True)
+        assert stats.bytes_read == 0
+        assert traces_equal(served, split_time_window(path, start, end))
 
 
 class TestMemoizedTrees:
@@ -161,7 +171,7 @@ class TestMemoizedTrees:
         path, trace = trace_file
         if not trace.counter_descriptions:
             pytest.skip("trace without counters")
-        store = read_trace(path, columnar=True)
+        store = read_trace(path)
         first = value_bounds(store, 0)
         trees_after_first = dict(store._minmax_trees)
         assert len(trees_after_first) == store.num_cores
@@ -175,7 +185,7 @@ class TestMemoizedTrees:
         path, trace = trace_file
         if not trace.counter_descriptions:
             pytest.skip("trace without counters")
-        store = read_trace(path, columnar=True)
+        store = read_trace(path)
         index = CounterIndex(store)
         assert index.tree(0, 0) is store.minmax_tree(0, 0)
 
@@ -290,7 +300,7 @@ class TestPersistedPyramids:
             pytest.skip("trace without counters")
         from repro.core import MinMaxTree
         mapped = self.fresh_mapping(path)
-        plain = read_trace(path, columnar=True)
+        plain = read_trace(path)
         for core in range(trace.num_cores):
             served = mapped.minmax_tree(core, 0)
             built = plain.minmax_tree(core, 0)
@@ -316,7 +326,7 @@ class TestPersistedPyramids:
     def test_mapped_state_index_matches_built(self, trace_file):
         path, trace = trace_file
         mapped = self.fresh_mapping(path)
-        plain = read_trace(path, columnar=True)
+        plain = read_trace(path)
         for core in range(trace.num_cores):
             served = mapped.state_index(core)
             built = plain.state_index(core)
@@ -329,7 +339,7 @@ class TestPersistedPyramids:
     def test_mapped_tiles_match_built(self, trace_file):
         path, trace = trace_file
         mapped = self.fresh_mapping(path)
-        plain = read_trace(path, columnar=True)
+        plain = read_trace(path)
         for core in range(trace.num_cores):
             served = mapped.state_tiles(core)
             built = plain.state_tiles(core)
@@ -361,7 +371,7 @@ class TestPersistedPyramids:
         from repro.render.counter_overlay import render_counter
         path, trace = trace_file
         mapped = self.fresh_mapping(path)
-        plain = read_trace(path, columnar=True)
+        plain = read_trace(path)
         widths = tile_level_counts(trace.end - trace.begin)
         assert widths, "fixture trace too short to carry tiles"
         for width in widths:
@@ -402,7 +412,7 @@ class TestPersistedPyramids:
         odd_width = TimelineView(start=trace.begin, end=trace.end,
                                  width=63, height=32)
         assert mapped.counter_columns(0, 0, odd_width) is None
-        plain = read_trace(path, columnar=True)
+        plain = read_trace(path)
         fit = TimelineView(start=trace.begin, end=trace.end,
                            width=64, height=32)
         assert plain.counter_columns(0, 0, fit) is None  # no sidecar

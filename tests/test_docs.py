@@ -55,10 +55,9 @@ def test_paper_mapping_covers_every_benchmark():
             bench.name + " docstring does not link the mapping doc"
 
 
-def test_quickstart_example_runs_and_covers_both_stores(tmp_path,
-                                                        capsys):
+def test_quickstart_example_runs_end_to_end(tmp_path, capsys):
     """The README's runnable quickstart executes end to end, and its
-    columnar-store step reports parity with the object store."""
+    lane-store step reports parity with the reference statistics."""
     import importlib.util
     spec = importlib.util.spec_from_file_location(
         "quickstart", str(ROOT / "examples" / "quickstart.py"))
@@ -66,9 +65,8 @@ def test_quickstart_example_runs_and_covers_both_stores(tmp_path,
     spec.loader.exec_module(module)
     module.main(str(tmp_path))
     out = capsys.readouterr().out
-    assert "columnar statistics identical to object statistics: True" \
-        in out
-    assert "columnar reload matches conversion: True" in out
+    assert "statistics identical to the reference: True" in out
+    assert "file reload matches the traced store: True" in out
     assert "matches parsed store: True" in out
     assert "self-diff empty: True" in out
     assert "quickstart.prv -> paraver, quickstart.json -> chrome" in out

@@ -4,7 +4,7 @@ Two small canonical trace files (a seidel-like stencil and a
 kmeans-like clustering run) are committed under ``tests/data/``
 together with pinned JSON expectations for their analysis results.
 Any numeric drift — in the trace format readers, the statistics, the
-metrics or the columnar store — fails these tests with exact-equality
+metrics or the lane store — fails these tests with exact-equality
 diffs.  A third fixture is committed in *foreign* formats (Paraver
 ``.prv``/``.pcf`` and Chrome trace-event JSON): both files must
 dispatch through the ingestion registry and reproduce one shared set
@@ -45,14 +45,20 @@ class TestGoldenTraces:
         assert name in pinned
         assert read_chunk_index(str(path)) is not None
 
-    def test_object_store_matches_pinned_results(self, name, pinned):
+    def test_store_matches_pinned_results(self, name, pinned):
         trace = read_trace(str(DATA_DIR / "golden_{}.ost".format(name)))
         assert golden_expectations(trace) == pinned[name]
 
-    def test_columnar_store_matches_pinned_results(self, name, pinned):
-        columnar = read_trace(
-            str(DATA_DIR / "golden_{}.ost".format(name)), columnar=True)
-        assert golden_expectations(columnar) == pinned[name]
+    def test_mapped_store_matches_pinned_results(self, name, pinned,
+                                                 tmp_path):
+        """The store every session serves — mapped back from the
+        ``.ostc`` sidecar — reproduces the pinned numbers too."""
+        path = str(DATA_DIR / "golden_{}.ost".format(name))
+        cache = str(tmp_path / "golden.ostc")
+        read_trace(path, cache=cache)             # writes the sidecar
+        mapped = read_trace(path, cache=cache)    # maps it back
+        assert mapped.pyramids is not None
+        assert golden_expectations(mapped) == pinned[name]
 
 
 @pytest.mark.parametrize("filename,source",
@@ -67,12 +73,6 @@ class TestGoldenForeignTraces:
                                               pinned):
         trace = ingest_trace(str(DATA_DIR / filename))
         assert golden_expectations(trace) == pinned["foreign"]
-
-    def test_columnar_ingest_matches_pinned(self, filename, source,
-                                            pinned):
-        columnar = ingest_trace(str(DATA_DIR / filename),
-                                columnar=True)
-        assert golden_expectations(columnar) == pinned["foreign"]
 
 
 def test_expectations_cover_every_golden_trace(pinned):

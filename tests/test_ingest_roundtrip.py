@@ -207,15 +207,6 @@ class TestRegistryDispatch:
         with pytest.raises(FormatError):
             ingest_trace(str(tmp_path / "absent.ost"))
 
-    def test_columnar_ingest(self, tmp_path):
-        from repro.core.columnar import ColumnarTrace
-        trace = make_random_trace(4, events_per_core=10)
-        path = tmp_path / "t.prv"
-        export_paraver(trace, str(path))
-        columnar = ingest_trace(str(path), columnar=True)
-        assert isinstance(columnar, ColumnarTrace)
-        assert len(columnar.tasks) == len(trace.tasks)
-
     def test_malformed_chrome_json_raises(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"traceEvents": [')

@@ -186,14 +186,6 @@ class TestParaverImport:
         assert [info.name for info in round_tripped.task_types] == \
             [info.name for info in seidel_trace_small.task_types]
 
-    def test_columnar_import(self, seidel_trace_small, tmp_path):
-        from repro.core.columnar import ColumnarTrace
-        path = tmp_path / "col.prv"
-        export_paraver(seidel_trace_small, str(path))
-        columnar = import_paraver(str(path), columnar=True)
-        assert isinstance(columnar, ColumnarTrace)
-        assert len(columnar.tasks) == len(seidel_trace_small.tasks)
-
     def test_malformed_record_raises(self, tmp_path):
         path = tmp_path / "bad.prv"
         path.write_text("#Paraver (x):100_ns:1(2):1:1(2:1)\n"

@@ -1,9 +1,9 @@
-"""Property-based round-trips for the trace format and columnar store.
+"""Property-based round-trips for the trace format and the lane store.
 
 A seeded random trace generator (``trace_gen.py``) drives
 write -> read -> compare over every record kind, across plain,
-compressed and chunk-indexed files, and pins down that the
-object <-> columnar conversions are lossless.  The oracle is
+compressed and chunk-indexed files and the ``.ostc`` sidecar.  The
+oracles are the raw record stream of the file and
 :func:`repro.core.traces_equal`, which compares record multisets
 exactly (including counter-sample floats).
 """
@@ -13,7 +13,7 @@ import pytest
 
 from repro.core import traces_equal
 from repro.trace_format import (load_cache, read_chunk_index, read_trace,
-                                read_window_columnar, split_time_window,
+                                split_time_window, stream_records,
                                 write_cache, write_trace)
 from trace_gen import make_random_trace
 
@@ -37,13 +37,40 @@ class TestFileRoundTrip:
         write_trace(random_trace, path, index=index, chunk_records=64)
         assert traces_equal(read_trace(path), random_trace)
 
-    def test_columnar_reader_equals_object_reader(self, random_trace,
-                                                  tmp_path):
+    def test_reader_matches_the_record_stream(self, random_trace,
+                                              tmp_path):
+        """Every event record of the file appears exactly once in the
+        per-event views of the loaded store."""
         path = str(tmp_path / "trace.ost")
         write_trace(random_trace, path, chunk_records=64)
-        columnar = read_trace(path, columnar=True)
-        assert traces_equal(columnar, read_trace(path))
-        assert traces_equal(columnar, random_trace.to_columnar())
+        trace = read_trace(path)
+        records = {}
+        for kind, fields in stream_records(path):
+            if isinstance(fields, tuple):       # event, not static
+                records.setdefault(kind, []).append(fields)
+        views = {
+            "state_interval": [(i.core, i.state, i.start, i.end)
+                               for i in trace.state_intervals()],
+            "task_execution": [(t.task_id, t.type_id, t.core, t.start,
+                                t.end) for t in trace.task_executions()],
+            "discrete_event": [(e.core, e.kind, e.timestamp, e.payload)
+                               for e in trace.discrete_events()],
+            "comm_event": [(c.src_core, c.dst_core, c.timestamp, c.size,
+                            c.task_id) for c in trace.comm_events()],
+            "memory_access": [(a.task_id, a.core, a.address, a.size,
+                               bool(a.is_write), a.timestamp)
+                              for a in trace.memory_accesses()],
+            "counter_sample": [
+                (core, counter_id, int(timestamp), float(value))
+                for (core, counter_id), (timestamps, values)
+                in trace.counter_series.items()
+                for timestamp, value in zip(timestamps, values)],
+        }
+        records["memory_access"] = [
+            fields[:4] + (bool(fields[4]), fields[5])
+            for fields in records.get("memory_access", [])]
+        for kind, rows in views.items():
+            assert sorted(rows) == sorted(records.get(kind, [])), kind
 
     def test_indexed_file_has_an_index(self, random_trace, tmp_path):
         path = str(tmp_path / "trace.ost")
@@ -58,37 +85,12 @@ class TestFileRoundTrip:
         path = str(tmp_path / "sparse.ost")
         write_trace(trace, path, chunk_records=64)
         assert traces_equal(read_trace(path), trace)
-        assert traces_equal(read_trace(path, columnar=True), trace)
 
 
-class TestColumnarConversion:
-    def test_object_columnar_object_is_lossless(self, random_trace):
-        assert traces_equal(random_trace.to_columnar().to_objects(),
-                            random_trace)
-
-    def test_columnar_object_columnar_is_lossless(self, random_trace):
-        columnar = random_trace.to_columnar()
-        assert traces_equal(columnar.to_objects().to_columnar(),
-                            columnar)
-
+class TestEquality:
     def test_equality_is_actually_discriminating(self, random_trace):
         other = make_random_trace(10_001)
         assert not traces_equal(random_trace, other)
-
-
-class TestWindowExtraction:
-    def test_columnar_window_equals_object_window(self, random_trace,
-                                                  tmp_path):
-        path = str(tmp_path / "trace.ost")
-        write_trace(random_trace, path, chunk_records=64)
-        span = random_trace.end - random_trace.begin
-        start = random_trace.begin + span // 4
-        end = start + max(span // 3, 1)
-        window = split_time_window(path, start, end)
-        assert traces_equal(
-            split_time_window(path, start, end, columnar=True), window)
-        assert traces_equal(read_window_columnar(path, start, end),
-                            window)
 
 
 class TestMappedCache:
@@ -111,12 +113,12 @@ class TestMappedCache:
     def test_mapped_store_equals_parsed_store(self, random_trace,
                                               tmp_path):
         """Every analysis surface gives bit-identical answers on the
-        memory-mapped store and the freshly parsed columnar store."""
+        memory-mapped store and the freshly parsed store."""
         from repro.core import statistics
         from repro.core.anomalies import scan
         path = str(tmp_path / "trace.ost")
         write_trace(random_trace, path, chunk_records=64)
-        parsed = read_trace(path, columnar=True)
+        parsed = read_trace(path)
         mapped = read_trace(path, cache=True)   # writes, then maps
         mapped = read_trace(path, cache=True)   # second open: the map
         assert traces_equal(mapped, parsed)
@@ -147,5 +149,4 @@ class TestMappedCache:
             assert traces_equal(mapped.slice_time_window(start, end),
                                 window)
             assert traces_equal(
-                read_window_columnar(path, start, end, cache=True),
-                window)
+                split_time_window(path, start, end, cache=True), window)

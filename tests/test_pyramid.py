@@ -9,6 +9,7 @@ from repro.core import MinMaxTree, StateIndex, build_state_tiles
 from repro.core.pyramid import tile_level_counts
 from repro.render import (Framebuffer, StateMode, TimelineView,
                           render_counter, render_timeline)
+from repro.render import reference as render_reference
 from repro.render.counter_overlay import (_column_extremes,
                                           _column_extremes_zoomed)
 from trace_gen import make_random_trace
@@ -102,7 +103,7 @@ class TestStateIndex:
 
 class TestStateTiles:
     def test_tiles_match_brute_force(self):
-        trace = make_random_trace(7, events_per_core=40).to_columnar()
+        trace = make_random_trace(7, events_per_core=40)
         for core in (0, 1):
             lane = trace.states.lane(core)
             index = trace.state_index(core)
@@ -123,7 +124,7 @@ class TestStateTiles:
                     assert events[i] == expected, (level, i)
 
     def test_level_for_width_picks_coarsest_sufficient(self):
-        trace = make_random_trace(7, events_per_core=40).to_columnar()
+        trace = make_random_trace(7, events_per_core=40)
         tiles = trace.state_tiles(0)
         counts = tiles.level_counts()
         assert counts == [16, 64, 256, 1024]
@@ -215,27 +216,25 @@ class TestDeepZoomCounterKernel:
         for x, vmin, vmax in zip(xs, vmins, vmaxs):
             assert (vmin, vmax) == columns[int(x)], x
 
-    def test_deep_zoom_render_parity_both_stores(self):
+    def test_deep_zoom_render_matches_reference(self):
         trace = make_random_trace(5, events_per_core=50)
-        columnar = trace.to_columnar()
         base = TimelineView.fit(trace, width=100, height=40)
         deep = base.zoom(max(trace.duration, 2))
         for view in (deep, TimelineView(trace.begin, trace.begin + 60,
                                         width=100, height=40)):
             assert view.duration < view.width
             reference = Framebuffer(view.width, view.height)
-            calls = render_counter(trace, 0, view, reference,
-                                   vectorized=False)
-            for store in (trace, columnar):
-                fb = Framebuffer(view.width, view.height)
-                assert render_counter(store, 0, view, fb) == calls
-                assert np.array_equal(fb.pixels, reference.pixels)
+            calls = render_reference.render_counter(trace, 0, view,
+                                                    reference)
+            fb = Framebuffer(view.width, view.height)
+            assert render_counter(trace, 0, view, fb) == calls
+            assert np.array_equal(fb.pixels, reference.pixels)
 
 
 class TestEmptyLaneGuards:
-    """A counter with zero samples on a core draws nothing — on both
-    stores and straight through the batched kernels (which used to
-    index timestamps[0] unguarded)."""
+    """A counter with zero samples on a core draws nothing — through
+    the renderer, its scalar reference and straight through the
+    batched kernels (which used to index timestamps[0] unguarded)."""
 
     def empty_timestamps(self):
         return (np.empty(0, dtype=np.int64),
@@ -248,28 +247,23 @@ class TestEmptyLaneGuards:
             xs, vmins, vmaxs = kernel(timestamps, values, view)
             assert len(xs) == len(vmins) == len(vmaxs) == 0
 
-    def test_render_empty_core_draws_nothing_both_stores(self):
+    def test_render_empty_core_draws_nothing(self):
         trace = make_random_trace(9, events_per_core=20)
-        columnar = trace.to_columnar()
         absent = 999          # a counter no core ever sampled
         assert all(len(trace.counter_samples(core, absent)[0]) == 0
                    for core in range(trace.num_cores))
         view = TimelineView.fit(trace, width=80, height=30)
-        for store in (trace, columnar):
+        for renderer in (render_counter, render_reference.render_counter):
             for core in range(trace.num_cores):
-                for vectorized in (True, False):
-                    fb = Framebuffer(view.width, view.height)
-                    calls = render_counter(store, absent, view, fb,
-                                           core=core,
-                                           vectorized=vectorized)
-                    assert calls == 0
-                    assert fb.draw_calls == 0
+                fb = Framebuffer(view.width, view.height)
+                calls = renderer(trace, absent, view, fb, core=core)
+                assert calls == 0
+                assert fb.draw_calls == 0
 
 
 class TestIndexedTimeline:
     def test_indexed_matches_reference_both_regimes(self):
         trace = make_random_trace(13, events_per_core=50)
-        columnar = trace.to_columnar()
         base = TimelineView.fit(trace, width=160,
                                 height=5 * trace.num_cores)
         views = (base, base.zoom(6),
@@ -277,15 +271,14 @@ class TestIndexedTimeline:
         for view in views:
             reference = render_timeline(trace, StateMode(), view,
                                         indexed=False)
-            for store in (trace, columnar):
-                fb = render_timeline(store, StateMode(), view)
-                assert np.array_equal(fb.pixels, reference.pixels), view
-                assert fb.draw_calls == reference.draw_calls, view
+            fb = render_timeline(trace, StateMode(), view)
+            assert np.array_equal(fb.pixels, reference.pixels), view
+            assert fb.draw_calls == reference.draw_calls, view
 
     def test_unindexable_lane_falls_back(self):
         """Lanes whose index cannot be built (within-state overlap)
         render through the reference path instead of wrong pixels."""
-        trace = make_random_trace(13, events_per_core=30).to_columnar()
+        trace = make_random_trace(13, events_per_core=30)
         view = TimelineView.fit(trace, width=64,
                                 height=4 * trace.num_cores)
         reference = render_timeline(trace, StateMode(), view,

@@ -5,7 +5,7 @@ Two small canonical traces — a seidel-like stencil run and a
 kmeans-like clustering run — are simulated deterministically, written
 as indexed trace files, and their analysis results pinned to JSON.
 ``tests/test_golden.py`` recomputes the same numbers from the committed
-files (through both trace stores) and fails on any numeric drift.
+files (and through the mapped sidecar) and fails on any numeric drift.
 
 Run from the repository root after an *intentional* behaviour change:
 
