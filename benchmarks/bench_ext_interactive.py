@@ -29,7 +29,8 @@ the same trace:
   the sidecar serves the min/max pyramid levels, so no tree is built
   and the frame touches ~width entries (default-scale gated);
 * **deep-zoom frame** — a warm counter frame at a view narrower than
-  the framebuffer (``duration < width``, the widened-pixel regime) is
+  the framebuffer (``duration < width``: below one cycle per pixel,
+  where neighbouring pixels share a one-cycle bin of the pixel grid) is
   O(width) by construction, so its sub-millisecond ceiling holds at
   any scale (``always`` in the perf gate).
 
@@ -254,7 +255,7 @@ def test_first_frame_after_reopen(scale, interactive_trace):
 
 def test_deep_zoom_frame(scale, interactive_trace):
     """ISSUE 8 criterion: a warm deep-zoom counter frame (view
-    narrower than the framebuffer, the widened-pixel regime) stays
+    narrower than the framebuffer: pixels share one-cycle bins) stays
     under a millisecond — O(width) at any trace size, so the bound is
     asserted at every scale and ``always``-enforced by the gate."""
     path, records = interactive_trace
@@ -266,7 +267,7 @@ def test_deep_zoom_frame(scale, interactive_trace):
     center = (store.begin + store.end) // 2
     view = replace(fit, start=int(center - span // 2),
                    end=int(center - span // 2 + span))
-    assert view.duration < view.width         # the zoomed kernel path
+    assert view.duration < view.width         # below one cycle per pixel
 
     def deep_frame():
         fb = Framebuffer(FRAME_WIDTH, FRAME_HEIGHT)
@@ -276,7 +277,7 @@ def test_deep_zoom_frame(scale, interactive_trace):
     deep_ms = 1e3 * min(_timed(deep_frame)[0] for __ in range(9))
     write_result("ext_interactive_deep_zoom", [
         "Extension: deep-zoom counter frame (duration < width) via",
-        "the batched widened-pixel kernel (Fig. 21b regime).",
+        "the batched kernel on one-cycle pixel bins (Fig. 21b).",
         "trace: {} records, view span {} cycles".format(records, span),
         "deep-zoom frame: {:.3f} ms (required: < 1 ms, any scale)"
         .format(deep_ms),

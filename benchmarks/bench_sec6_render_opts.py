@@ -4,7 +4,8 @@ Paper: (a) every pixel is drawn once, using the predominant state of
 its interval; (b) adjacent same-color pixels are aggregated into a
 single rectangle call; for counters, one vertical [pmin, pmax] line per
 pixel replaces per-sample lines, dramatically reducing drawing
-operations at coarse zoom.
+operations at coarse zoom.  The unoptimized baselines (one rectangle
+per event, one line per sample pair) come from repro.render.reference.
 
 Mapping: docs/paper-mapping.md.
 """
@@ -15,14 +16,15 @@ from figutils import write_result
 from repro.core import CounterIndex
 from repro.render import (Framebuffer, StateMode, TimelineView,
                           render_counter, render_timeline)
+from repro.render.reference import (render_counter_per_sample,
+                                    render_timeline_per_event)
 
 
 def test_state_rendering_optimized(benchmark, seidel_opt, scale):
     __, trace = seidel_opt
     view = TimelineView.fit(trace, 800, 4 * trace.num_cores)
-    framebuffer = benchmark(render_timeline, trace, StateMode(), view,
-                            optimized=True)
-    naive = render_timeline(trace, StateMode(), view, optimized=False)
+    framebuffer = benchmark(render_timeline, trace, StateMode(), view)
+    naive = render_timeline_per_event(trace, StateMode(), view)
 
     # Aggregation only pays off once events outnumber pixels; a small
     # trace still must never draw more rectangles than the naive path.
@@ -46,7 +48,7 @@ def test_state_rendering_optimized(benchmark, seidel_opt, scale):
 def test_state_rendering_naive_baseline(benchmark, seidel_opt):
     __, trace = seidel_opt
     view = TimelineView.fit(trace, 800, 4 * trace.num_cores)
-    benchmark(render_timeline, trace, StateMode(), view, optimized=False)
+    benchmark(render_timeline_per_event, trace, StateMode(), view)
 
 
 def dense_counter_trace(samples=100_000):
@@ -76,8 +78,8 @@ def test_counter_rendering_optimized(benchmark, seidel_opt):
 
     calls = benchmark(optimized)
     naive_fb = Framebuffer(view.width, 200)
-    naive_calls = render_counter(trace, "dense", view, naive_fb, core=0,
-                                 optimized=False)
+    naive_calls = render_counter_per_sample(trace, "dense", view,
+                                            naive_fb, core=0)
     samples = len(trace.counter_samples(0, 0)[0])
     assert calls <= view.width
     assert calls < naive_calls / 50
@@ -97,8 +99,8 @@ def test_counter_rendering_naive_baseline(benchmark):
 
     def naive():
         fb = Framebuffer(view.width, 200)
-        return render_counter(trace, "dense", view, fb, core=0,
-                              optimized=False)
+        return render_counter_per_sample(trace, "dense", view, fb,
+                                         core=0)
 
     benchmark(naive)
 

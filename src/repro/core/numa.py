@@ -82,7 +82,9 @@ def task_remote_fractions(trace, kind="any"):
     total = matrix.sum(axis=1)
     local = matrix[np.arange(len(matrix)), executing_node]
     remote = total - local
-    return np.divide(remote, total, out=np.zeros_like(total),
+    # ``out`` is float64 even when no access maps to a node and
+    # task_node_bytes' bincount hands back an int64 matrix.
+    return np.divide(remote, total, out=np.zeros(len(total)),
                      where=total > 0)
 
 

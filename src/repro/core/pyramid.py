@@ -38,7 +38,7 @@ class StateIndex:
     Intervals are grouped by state id (ascending); within each group
     they are sorted by start and non-overlapping (guaranteed per core
     by construction of the lane — :meth:`build` validates and returns
-    ``None`` otherwise, letting callers fall back to the scalar walk).
+    ``None`` otherwise, letting callers fall back to the lane scan).
     ``cum`` holds, per group, the running sum of interval durations
     with a leading zero, so the coverage of a group up to time ``t``
     is one ``searchsorted`` plus at most one partial interval.
@@ -106,30 +106,13 @@ class StateIndex:
             result[:, group] = total
         return result
 
-    def pixel_keys(self, view):
-        """Exactly-dominant state per pixel column (-1 where nothing
-        is visible) — the pyramid-served replacement for
-        :func:`repro.render.timeline._predominant_keys`, valid in both
-        zoom regimes because each pixel's interval is widened to one
-        cycle exactly like ``TimelineView.pixel_interval``."""
-        result = np.full(view.width, -1, dtype=np.int64)
-        if self.num_states == 0:
-            return result
-        x = np.arange(view.width + 1, dtype=np.int64)
-        edges = view.start + view.duration * x // view.width
-        t0 = edges[:-1]
-        t1 = np.maximum(edges[1:], t0 + 1)
-        coverage = self.coverage_before(t1) - self.coverage_before(t0)
-        # argmax picks the first (smallest) state on ties, matching the
-        # reference walk's max(coverage, key=(coverage, -key)).
-        best = np.argmax(coverage, axis=1)
-        covered = coverage[np.arange(view.width), best] > 0
-        result[covered] = self.state_ids[best[covered]]
-        return result
-
     def dominant_in_edges(self, edges):
         """Exactly-dominant state of each ``[edges[i], edges[i+1])``
-        tile (-1 for uncovered tiles) — the tile-build kernel."""
+        bin (-1 for uncovered bins) — the kernel behind both the tile
+        build and the pyramid-served timeline, whose pixel bins
+        (:meth:`repro.render.timeline.TimelineView.pixel_bins`)
+        partition the view at any zoom.  Ties go to the smallest
+        state id."""
         edges = np.asarray(edges, dtype=np.int64)
         count = len(edges) - 1
         result = np.full(count, -1, dtype=np.int64)

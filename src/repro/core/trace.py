@@ -532,15 +532,15 @@ class Trace:
         A mapped store carries pre-rendered whole-trace columns at the
         standard tile widths (written by the render kernel itself, so
         they are bit-identical to rendering live).  They apply only to
-        a fit view — full time bounds, aggregated regime, persisted
-        width; anything else falls back to the kernel.  Returns the
-        ``(xs, vmins, vmaxs)`` triple the kernel would have produced.
+        a fit view at a persisted width; anything else falls back to
+        the kernel.  Persisted widths never exceed the trace's span,
+        so a served view is never below one cycle per pixel.  Returns
+        the ``(xs, vmins, vmaxs)`` triple the kernel would have
+        produced.
         """
         if self.pyramids is None:
             return None
         if (view.start, view.end) != (self.begin, self.end):
-            return None
-        if view.duration < view.width:
             return None
         columns = self.pyramids.counter_columns(core, counter_id,
                                                 view.width)

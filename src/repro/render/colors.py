@@ -80,13 +80,25 @@ def numa_palette(num_nodes):
     return distinct_colors(num_nodes, saturation=0.8, value=0.95)
 
 
+_NUMA_LOCAL = np.array((60, 90, 220), dtype=np.float64)      # blue
+_NUMA_REMOTE = np.array((240, 105, 180), dtype=np.float64)    # pink
+
+
+def numa_heat_colors(remote_fractions):
+    """Blue (all local) to pink (all remote) gradient (Fig. 14e/f):
+    an ``(..., 3)`` int64 array of RGB channels, one per fraction
+    (clamped to [0, 1], channels truncated)."""
+    fractions = np.clip(np.asarray(remote_fractions, dtype=np.float64),
+                        0.0, 1.0)
+    mixed = (_NUMA_LOCAL
+             + (_NUMA_REMOTE - _NUMA_LOCAL) * fractions[..., None])
+    return mixed.astype(np.int64)
+
+
 def numa_heat_color(remote_fraction):
-    """Blue (all local) to pink (all remote) gradient (Fig. 14e/f)."""
-    fraction = min(max(float(remote_fraction), 0.0), 1.0)
-    blue = np.array((60, 90, 220), dtype=np.float64)
-    pink = np.array((240, 105, 180), dtype=np.float64)
-    mixed = blue + (pink - blue) * fraction
-    return tuple(int(channel) for channel in mixed)
+    """The :func:`numa_heat_colors` ramp color of one fraction."""
+    return tuple(int(channel)
+                 for channel in numa_heat_colors(float(remote_fraction)))
 
 
 def matrix_red(fraction):

@@ -8,22 +8,23 @@ counter values (``vmin``/``vmax``), maps them to pixels and draws one
 vertical line — with the n-ary min/max search tree of Section VI-B-c
 avoiding a scan of every sample in the column.
 
-The optimized mode is a vectorized kernel: one batched
-``searchsorted`` over the pixel edges and one ``segment_minmax``/
+The kernel is vectorized: one batched ``searchsorted`` of the samples
+on the view's pixel bins (``TimelineView.pixel_bins``) and one
+``segment_minmax``/
 :meth:`~repro.core.interval_tree.MinMaxTree.query_segments` pass
-computes every column's extremes at once, with the per-``(core,
+computes every bin's extremes at once, with the per-``(core,
 counter)`` trees memoized on the trace store
 (:meth:`~repro.core.trace.Trace.minmax_tree` — served from the
 ``.ostc`` sidecar's persisted pyramid levels on memory-mapped stores)
-so repeated zoom/pan frames rebuild nothing; views zoomed below one
-cycle per pixel (overlapping widened pixel intervals) use the
-gather-based :func:`_column_extremes_zoomed` variant instead of
-falling back to the per-pixel loop.
+so repeated zoom/pan frames rebuild nothing.  The bins partition the
+view at any zoom, so views below one cycle per pixel take the same
+path.
 
 The original per-pixel loop lives on as the executable specification
-in :mod:`repro.render.reference`; the parity tests and the interactive
-benchmark compare against it, and both draw bit-identical framebuffers
-with identical draw-call counts.
+in :mod:`repro.render.reference`, next to the line-per-sample baseline
+of Fig. 21a; the parity tests and the interactive benchmark compare
+against it, and both draw bit-identical framebuffers with identical
+draw-call counts.
 """
 
 from __future__ import annotations
@@ -72,28 +73,22 @@ def _values_to_y(values, bounds, top, height):
     return (top + (height - 1) * (1.0 - fraction)).astype(np.int64)
 
 
-def _pixel_edges(view):
-    """t0(x) of every pixel column plus ``view.end``; a valid
-    partition of the view only when ``duration >= width``."""
-    x = np.arange(view.width + 1, dtype=np.int64)
-    return view.start + view.duration * x // view.width
-
-
-def _column_extremes(timestamps, values, view, tree=None):
+def _column_extremes(timestamps, values, grid, tree=None):
     """Per-column (vmin, vmax) of every drawable pixel, batched.
 
-    Covered columns take their extremes from one
-    ``segment_minmax``/``query_segments`` pass (the pixel edges cut the
-    sorted sample lane into one contiguous partition); empty columns
-    interpolate at the pixel center exactly like the scalar reference.
-    Returns ``(xs, vmins, vmaxs)`` for the columns to draw.
+    ``grid`` is the view's ``(edges, column)`` pixel grid.  The bin
+    edges cut the sorted sample lane into one contiguous partition, so
+    covered bins take their extremes from one
+    ``segment_minmax``/``query_segments`` pass; empty bins interpolate
+    at the bin center exactly like the scalar reference.  Returns
+    ``(xs, vmins, vmaxs)`` for the columns to draw.
     """
     empty = np.empty(0, dtype=np.float64)
     if len(timestamps) == 0:
         # Nothing to draw, like the scalar reference (and unlike the
         # unguarded kernel, which indexed timestamps[0]/[-1]).
         return np.empty(0, dtype=np.int64), empty, empty
-    edges = _pixel_edges(view)
+    edges, column = grid
     boundaries = np.searchsorted(timestamps, edges, side="left")
     if tree is not None:
         vmins, vmaxs = tree.query_segments(boundaries)
@@ -107,54 +102,8 @@ def _column_extremes(timestamps, values, view, tree=None):
         interpolated = np.interp(centers[inside], timestamps, values)
         vmins[inside] = interpolated
         vmaxs[inside] = interpolated
-    draw = covered | inside
-    xs = np.flatnonzero(draw)
-    return xs, vmins[draw], vmaxs[draw]
-
-
-def _column_extremes_zoomed(timestamps, values, view):
-    """Per-column (vmin, vmax) for views zoomed below one cycle per
-    pixel, batched.
-
-    In this regime zero-cycle pixel intervals are widened to one cycle
-    (``TimelineView.pixel_interval``), so adjacent columns *overlap*
-    and no single partition of the lane exists; instead each column's
-    (possibly shared) sample range is gathered and reduced in one
-    ``reduceat`` pass — the ranges span at most a few samples at this
-    zoom, so the cost stays O(width).  Empty columns interpolate at
-    the pixel center.  Bit-identical to the scalar per-pixel loop.
-    Returns ``(xs, vmins, vmaxs)`` for the columns to draw.
-    """
-    empty = np.empty(0, dtype=np.float64)
-    if len(timestamps) == 0:
-        return np.empty(0, dtype=np.int64), empty, empty
-    edges = _pixel_edges(view)
-    t0 = edges[:-1]
-    t1 = np.maximum(edges[1:], t0 + 1)
-    lo = np.searchsorted(timestamps, t0, side="left")
-    hi = np.searchsorted(timestamps, t1, side="left")
-    covered = hi > lo
-    vmins = np.full(view.width, np.nan, dtype=np.float64)
-    vmaxs = np.full(view.width, np.nan, dtype=np.float64)
-    if covered.any():
-        range_lo = lo[covered]
-        range_len = (hi - lo)[covered]
-        first = np.cumsum(range_len) - range_len
-        flat = (np.arange(int(range_len.sum()))
-                - np.repeat(first - range_lo, range_len))
-        gathered = np.asarray(values, dtype=np.float64)[flat]
-        vmins[covered] = np.minimum.reduceat(gathered, first)
-        vmaxs[covered] = np.maximum.reduceat(gathered, first)
-    centers = (t0 + t1) // 2
-    inside = (~covered & (centers >= timestamps[0])
-              & (centers <= timestamps[-1]))
-    if inside.any():
-        interpolated = np.interp(centers[inside], timestamps, values)
-        vmins[inside] = interpolated
-        vmaxs[inside] = interpolated
-    draw = covered | inside
-    xs = np.flatnonzero(draw)
-    return xs, vmins[draw], vmaxs[draw]
+    xs = np.flatnonzero((covered | inside)[column])
+    return xs, vmins[column[xs]], vmaxs[column[xs]]
 
 
 def _draw_columns(framebuffer, xs, vmins, vmaxs, bounds, top, height,
@@ -169,17 +118,14 @@ def _draw_columns(framebuffer, xs, vmins, vmaxs, bounds, top, height,
 
 def render_counter(trace, counter, view, framebuffer, core=0,
                    color=(255, 60, 60), top=None, height=None,
-                   bounds=None, counter_index=None, optimized=True):
+                   bounds=None, counter_index=None):
     """Render one core's counter curve into the framebuffer.
 
-    With ``optimized=True`` each pixel column draws exactly one
-    vertical line spanning [pmin, pmax] (Fig. 21b); the column extremes
-    come from the vectorized batched kernel, searching the min/max
-    tree of ``counter_index`` (a
-    :class:`~repro.core.interval_tree.CounterIndex`) when given,
-    else the one memoized on the trace store.
-    With ``optimized=False`` every adjacent sample pair becomes a line
-    (Fig. 21a) — the baseline the rendering benchmark compares against.
+    Each pixel column draws exactly one vertical line spanning [pmin,
+    pmax] (Fig. 21b); the column extremes come from the vectorized
+    batched kernel, searching the min/max tree of ``counter_index`` (a
+    :class:`~repro.core.interval_tree.CounterIndex`) when given, else
+    the one memoized on the trace store.
     Returns the number of drawing operations issued.
     """
     counter_id = (trace.counter_id(counter) if isinstance(counter, str)
@@ -192,32 +138,18 @@ def render_counter(trace, counter, view, framebuffer, core=0,
     before = framebuffer.draw_calls
     if len(timestamps) == 0:
         return 0
-    if not optimized:
-        for index in range(len(timestamps) - 1):
-            x0 = view.time_to_pixel(int(timestamps[index]))
-            x1 = view.time_to_pixel(int(timestamps[index + 1]))
-            if x1 < 0 or x0 >= view.width:
-                continue
-            y0 = _value_to_y(values[index], bounds, top, height)
-            y1 = _value_to_y(values[index + 1], bounds, top, height)
-            framebuffer.draw_line(max(x0, 0), y0,
-                                  min(x1, view.width - 1), y1, color)
-        return framebuffer.draw_calls - before
     columns = trace.counter_columns(core, counter_id, view)
     if columns is not None:
         # A mapped store persisted this view's pixel columns at
         # cache-write time — computed by _column_extremes itself, so
         # drawing them is bit-identical to running the kernel.
         xs, vmins, vmaxs = columns
-    elif view.duration >= view.width:
+    else:
         tree = (counter_index.tree(core, counter_id)
                 if counter_index is not None
                 else trace.minmax_tree(core, counter_id))
-        xs, vmins, vmaxs = _column_extremes(timestamps, values, view,
-                                            tree=tree)
-    else:
-        xs, vmins, vmaxs = _column_extremes_zoomed(timestamps, values,
-                                                   view)
+        xs, vmins, vmaxs = _column_extremes(timestamps, values,
+                                            view.pixel_bins(), tree=tree)
     _draw_columns(framebuffer, xs, vmins, vmaxs, bounds, top, height,
                   color)
     return framebuffer.draw_calls - before
@@ -241,11 +173,8 @@ def render_derived_series(series, view, framebuffer, color=(90, 220, 90),
     hi = float(np.max(values))
     bounds = (lo, hi if hi > lo else lo + 1.0)
     before = framebuffer.draw_calls
-    if view.duration >= view.width:
-        xs, vmins, vmaxs = _column_extremes(timestamps, values, view)
-    else:
-        xs, vmins, vmaxs = _column_extremes_zoomed(timestamps, values,
-                                                   view)
+    xs, vmins, vmaxs = _column_extremes(timestamps, values,
+                                        view.pixel_bins())
     _draw_columns(framebuffer, xs, vmins, vmaxs, bounds, top, height,
                   color)
     return framebuffer.draw_calls - before

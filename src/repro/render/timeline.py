@@ -13,8 +13,10 @@ duration *heatmap*, the *typemap*, the *NUMA* read/write maps and the
 (c) the per-core event slice for the visible window is obtained with a
     binary search over the sorted per-core arrays.
 
-A ``optimized=False`` escape hatch renders naively (one rectangle per
-event) so the benchmarks can quantify the optimization.
+Every mode paints through one pipeline: the view's pixel grid
+(:meth:`TimelineView.pixel_bins`, computed once per frame) → per-pixel
+integer keys for each lane (:meth:`TimelineMode.pixel_keys`) → one
+run-merged rectangle per run of equal keys.
 """
 
 from __future__ import annotations
@@ -71,6 +73,25 @@ class TimelineView:
         t1 = self.start + self.duration * (x + 1) // self.width
         return int(t0), int(max(t1, t0 + 1))
 
+    def pixel_bins(self):
+        """The pixel grid as ``(edges, column)``.
+
+        ``edges`` strictly increase from ``start`` to ``end``: the
+        distinct pixel start times plus ``end``, so consecutive edges
+        partition the view into bins.  ``column[x]`` is the bin pixel
+        ``x`` shows: ``pixel_interval(x) == (edges[column[x]],
+        edges[column[x] + 1])``.  At one cycle per pixel or more every
+        pixel is its own bin; below that every bin is one cycle and
+        neighbouring pixels share it.  Per-pixel kernels compute one
+        value per bin and gather ``[column]``.
+        """
+        x = np.arange(self.width + 1, dtype=np.int64)
+        starts = self.start + self.duration * x // self.width
+        new = np.empty(len(starts), dtype=bool)
+        new[0] = True
+        np.not_equal(starts[1:], starts[:-1], out=new[1:])
+        return starts[new], np.cumsum(new[:-1]) - 1
+
     def time_to_pixel(self, time):
         """Pixel column of a timestamp (unclipped)."""
         return int((time - self.start) * self.width // self.duration)
@@ -99,12 +120,10 @@ class TimelineView:
 class TimelineMode:
     """A timeline specialization: supplies per-core colored intervals.
 
-    ``lane_events`` returns ``(starts, ends, keys)`` for one core, keys
-    being small integers fed to ``color_of``; continuous modes (the NUMA
-    heatmap) instead return float values fed to ``value_color``.
+    ``lane_events`` returns ``(starts, ends, keys)`` for one core;
+    :meth:`pixel_keys` turns a lane into one integer key per pixel and
+    ``color_of`` maps a key to its color.
     """
-
-    continuous = False
 
     def prepare(self, trace):
         """Hook: precompute per-trace tables before rendering."""
@@ -113,19 +132,17 @@ class TimelineMode:
         """``(starts, ends, keys)`` of one core's drawable events."""
         raise NotImplementedError
 
-    def pixel_keys(self, trace, core, view):
-        """Predominant key per pixel straight from a per-trace index,
-        or ``None`` to derive them from :meth:`lane_events` (the
-        default).  Modes backed by a persisted pyramid override this
-        so a frame never touches the event lane."""
-        return None
+    def pixel_keys(self, trace, core, grid):
+        """One int64 key per pixel of one lane, -1 where nothing is
+        painted.  ``grid`` is the view's ``(edges, column)`` pixel
+        grid (:meth:`TimelineView.pixel_bins`).  By default each pixel
+        shows the predominant key of :meth:`lane_events` in its bin."""
+        edges, column = grid
+        starts, ends, keys = _visible_lane(self, trace, core, edges)
+        return _predominant_keys(starts, ends, keys, edges)[column]
 
     def color_of(self, key):
         """RGB color of one event key."""
-        raise NotImplementedError
-
-    def value_color(self, value):
-        """RGB color of one aggregated pixel value."""
         raise NotImplementedError
 
 
@@ -140,17 +157,18 @@ class StateMode(TimelineMode):
                 trace.states.core_column(core, "end"),
                 trace.states.core_column(core, "state"))
 
-    def pixel_keys(self, trace, core, view):
+    def pixel_keys(self, trace, core, grid):
         """Per-pixel dominant states served by the state pyramid
         (persisted in the ``.ostc`` sidecar on mapped stores, memoized
         in memory otherwise): exact coverage via per-state prefix
-        sums, O(width log n) per lane at any zoom, bit-identical to
-        the :func:`_predominant_keys` reference.  ``None`` when the
-        lane cannot be indexed."""
+        sums, O(width log n) per lane at any zoom, equal to the
+        default lane scan, which serves lanes that cannot be
+        indexed."""
         index = trace.state_index(core)
         if index is None:
-            return None
-        return index.pixel_keys(view)
+            return super().pixel_keys(trace, core, grid)
+        edges, column = grid
+        return index.dominant_in_edges(edges)[column]
 
     def color_of(self, key):
         """The state palette color of one state id."""
@@ -271,19 +289,32 @@ class NumaHeatmapMode(_TaskMode):
     """Average fraction of remote accesses, blue to pink (Fig. 14e/f)."""
 
     name = "numa_heatmap"
-    continuous = True
 
     def prepare(self, trace):
         """Precompute per-task remote-access fractions."""
         self._fractions = numa_analysis.task_remote_fractions(trace)
 
     def task_keys(self, trace, core):
-        """One core's task intervals keyed by remote-fraction bucket."""
+        """One core's task intervals with their remote fractions."""
         return self._fractions[trace.tasks.core_slice(core)]
 
-    def value_color(self, value):
-        """Blue-to-red ramp over the remote fraction."""
-        return palettes.numa_heat_color(value)
+    def pixel_keys(self, trace, core, grid):
+        """Per pixel, the heat-ramp color of the coverage-weighted
+        mean remote fraction, packed as ``0xRRGGBB`` (-1 where no task
+        runs): runs of equal keys are exactly runs of equal color."""
+        edges, column = grid
+        starts, ends, fractions = _visible_lane(self, trace, core, edges)
+        means = _mean_values(starts, ends, fractions, edges)
+        keys = np.full(len(means), -1, dtype=np.int64)
+        covered = ~np.isnan(means)
+        rgb = palettes.numa_heat_colors(means[covered])
+        keys[covered] = (rgb[:, 0] << 16) | (rgb[:, 1] << 8) | rgb[:, 2]
+        return keys[column]
+
+    def color_of(self, key):
+        """The RGB color packed in one pixel key."""
+        key = int(key)
+        return (key >> 16, (key >> 8) & 0xFF, key & 0xFF)
 
 
 #: Public mode names -> zero-argument factories.  These are the
@@ -314,54 +345,41 @@ def timeline_mode(name):
     return factory()
 
 
-def _pixel_edges(view):
-    """The time stamps t0(x) of every pixel column, plus ``view.end``.
+def _visible_lane(mode, trace, core, edges):
+    """``mode``'s events on ``core`` overlapping ``[edges[0],
+    edges[-1])``, found by binary search (Section VI-B-c)."""
+    starts, ends, keys = mode.lane_events(trace, core)
+    visible = interval_slice(starts, ends, edges[0], edges[-1])
+    return starts[visible], ends[visible], keys[visible]
 
-    Valid as bin edges only when ``duration >= width`` — otherwise
-    :meth:`TimelineView.pixel_interval` widens zero-cycle pixels to one
-    cycle and adjacent pixel intervals overlap.
+
+def _predominant_keys(starts, ends, keys, edges):
+    """Predominant key per bin of ``edges`` (-1 where nothing is
+    visible).
+
+    Per-key bin coverage is accumulated vectorized — partial first and
+    last bins by scatter-add, fully covered interior bins by a per-key
+    difference array — and the key with the largest coverage wins the
+    bin: Section VI-B's "every pixel is drawn only once".
     """
-    x = np.arange(view.width + 1, dtype=np.int64)
-    return view.start + view.duration * x // view.width
-
-
-def _pixel_spans(starts, ends, edges):
-    """First/last pixel column touched by each (clipped) event."""
     width = len(edges) - 1
+    result = np.full(width, -1, dtype=np.int64)
+    if len(starts) == 0:
+        return result
+    start, end = edges[0], edges[-1]
+    starts = np.asarray(starts, dtype=np.int64)
+    ends = np.asarray(ends, dtype=np.int64)
+    keys = np.asarray(keys, dtype=np.int64)
+    visible = (ends > start) & (starts < end) & (keys >= 0)
+    if not visible.any():
+        return result
+    starts = np.clip(starts[visible], start, end)
+    ends = np.clip(ends[visible], start, end)
+    uniq, inverse = np.unique(keys[visible], return_inverse=True)
     first = np.clip(np.searchsorted(edges, starts, side="right") - 1,
                     0, width - 1)
     last = np.clip(np.searchsorted(edges, ends, side="left") - 1,
                    0, width - 1)
-    return first, last
-
-
-def _predominant_keys(starts, ends, keys, view):
-    """Predominant key per pixel column (-1 where nothing is visible).
-
-    Per-key pixel coverage is accumulated vectorized — partial first
-    and last pixels by scatter-add, fully covered interior pixels by a
-    per-key difference array — and the key with the largest coverage
-    wins the pixel: Section VI-B's "every pixel is drawn only once".
-    Views zoomed below one cycle per pixel (overlapping pixel
-    intervals) fall back to the scalar two-pointer walk.
-    """
-    result = np.full(view.width, -1, dtype=np.int64)
-    if len(starts) == 0:
-        return result
-    if view.duration < view.width:
-        return _predominant_keys_walk(starts, ends, keys, view)
-    starts = np.asarray(starts, dtype=np.int64)
-    ends = np.asarray(ends, dtype=np.int64)
-    keys = np.asarray(keys, dtype=np.int64)
-    visible = (ends > view.start) & (starts < view.end) & (keys >= 0)
-    if not visible.any():
-        return result
-    starts = np.clip(starts[visible], view.start, view.end)
-    ends = np.clip(ends[visible], view.start, view.end)
-    uniq, inverse = np.unique(keys[visible], return_inverse=True)
-    width = view.width
-    edges = _pixel_edges(view)
-    first, last = _pixel_spans(starts, ends, edges)
     coverage = np.zeros((width, len(uniq)), dtype=np.int64)
     head = (np.minimum(ends, edges[first + 1])
             - np.maximum(starts, edges[first]))
@@ -378,89 +396,26 @@ def _predominant_keys(starts, ends, keys, view):
         coverage += (np.cumsum(covering[:width], axis=0)
                      * np.diff(edges)[:, None])
     # argmax picks the first (smallest) key on coverage ties, matching
-    # the walk's max(coverage, key=(coverage, -key)) tie-break.
+    # the reference walk's max(coverage, key=(coverage, -key)).
     best = np.argmax(coverage, axis=1)
     covered = coverage[np.arange(width), best] > 0
     result[covered] = uniq[best[covered]]
     return result
 
 
-def _predominant_keys_walk(starts, ends, keys, view):
-    """Scalar two-pointer reference walk (overlapping-pixel views)."""
-    result = np.full(view.width, -1, dtype=np.int64)
-    count = len(starts)
-    event = 0
-    for x in range(view.width):
-        t0, t1 = view.pixel_interval(x)
-        while event < count and ends[event] <= t0:
-            event += 1
-        if event >= count or starts[event] >= t1:
-            continue
-        coverage = {}
-        cursor = event
-        while cursor < count and starts[cursor] < t1:
-            key = int(keys[cursor])
-            overlap = (min(int(ends[cursor]), t1)
-                       - max(int(starts[cursor]), t0))
-            if overlap > 0 and key >= 0:
-                coverage[key] = coverage.get(key, 0) + overlap
-            if ends[cursor] > t1:
-                break
-            cursor += 1
-        if coverage:
-            result[x] = max(coverage, key=lambda k: (coverage[k], -k))
-    return result
-
-
-def _mean_values_per_pixel(starts, ends, values, view):
-    """Coverage-weighted mean value per pixel (continuous modes).
-
-    Two value-weighted/unweighted overlap-binning passes over the
-    pixel grid (the same difference-array kernel the derived metrics
-    use, :func:`repro.core.metrics.overlap_per_bin`) and a divide;
-    sub-cycle-pixel views fall back to the scalar walk like
-    :func:`_predominant_keys`.
-    """
-    result = np.full(view.width, np.nan, dtype=np.float64)
-    if len(starts) == 0:
-        return result
-    if view.duration < view.width:
-        return _mean_values_walk(starts, ends, values, view)
-    edges = _pixel_edges(view).astype(np.float64)
+def _mean_values(starts, ends, values, edges):
+    """Coverage-weighted mean value per bin of ``edges`` (NaN where
+    nothing is visible): two value-weighted/unweighted overlap-binning
+    passes (the difference-array kernel the derived metrics use,
+    :func:`repro.core.metrics.overlap_per_bin`) and a divide."""
+    edges = np.asarray(edges, dtype=np.float64)
     weighted = overlap_per_bin(starts, ends, edges,
-                                weights=np.asarray(values,
-                                                   dtype=np.float64))
+                               weights=np.asarray(values,
+                                                  dtype=np.float64))
     coverage = overlap_per_bin(starts, ends, edges)
+    result = np.full(len(coverage), np.nan, dtype=np.float64)
     covered = coverage > 0
     result[covered] = weighted[covered] / coverage[covered]
-    return result
-
-
-def _mean_values_walk(starts, ends, values, view):
-    """Scalar two-pointer reference walk (overlapping-pixel views)."""
-    result = np.full(view.width, np.nan, dtype=np.float64)
-    count = len(starts)
-    event = 0
-    for x in range(view.width):
-        t0, t1 = view.pixel_interval(x)
-        while event < count and ends[event] <= t0:
-            event += 1
-        if event >= count or starts[event] >= t1:
-            continue
-        weighted = 0.0
-        total = 0
-        cursor = event
-        while cursor < count and starts[cursor] < t1:
-            overlap = (min(int(ends[cursor]), t1)
-                       - max(int(starts[cursor]), t0))
-            if overlap > 0:
-                weighted += float(values[cursor]) * overlap
-                total += overlap
-            if ends[cursor] > t1:
-                break
-            cursor += 1
-        if total:
-            result[x] = weighted / total
     return result
 
 
@@ -472,18 +427,15 @@ def _paint_background(framebuffer, lane_height, lane_tops):
                               color)
 
 
-def render_timeline(trace, mode, view=None, framebuffer=None,
-                    optimized=True, indexed=True):
+def render_timeline(trace, mode, view=None, framebuffer=None):
     """Render one timeline mode into a framebuffer.
 
-    ``optimized=True`` uses predominant-pixel rendering with rectangle
-    aggregation; ``optimized=False`` renders one rectangle per event
-    (the naive approach of Fig. 20), useful only for benchmarking.
-    With ``indexed=True`` (default) a mode backed by a per-trace
-    pyramid (:meth:`TimelineMode.pixel_keys`) computes each lane's
-    per-pixel keys without touching the event lane; ``indexed=False``
-    keeps the lane-scanning path as the parity reference.  Both
-    produce bit-identical framebuffers and draw-call counts.
+    Each lane's per-pixel keys (:meth:`TimelineMode.pixel_keys`, on
+    the pixel grid computed once for the frame) are painted with one
+    rectangle per run of equal keys: predominant-pixel rendering with
+    rectangle aggregation.  :mod:`repro.render.reference` holds the
+    per-pixel specification and the one-rectangle-per-event baseline
+    of Fig. 20.
     """
     view = TimelineView.fit(trace) if view is None else view
     if framebuffer is None:
@@ -492,81 +444,24 @@ def render_timeline(trace, mode, view=None, framebuffer=None,
     lane_height, lane_tops = view.lane_geometry(trace.num_cores)
     _paint_background(framebuffer, lane_height, lane_tops)
     framebuffer.reset_counters()
-    for core in range(trace.num_cores):
-        top = lane_tops[core]
-        if optimized and indexed and not mode.continuous:
-            pixel_keys = mode.pixel_keys(trace, core, view)
-            if pixel_keys is not None:
-                _fill_key_runs(framebuffer, mode, pixel_keys, view, top,
-                               lane_height)
-                continue
-        starts, ends, keys = mode.lane_events(trace, core)
-        visible = interval_slice(starts, ends, view.start, view.end)
-        starts = starts[visible]
-        ends = ends[visible]
-        keys = keys[visible]
-        if mode.continuous:
-            _render_lane_continuous(framebuffer, mode, view, starts, ends,
-                                    keys, top, lane_height)
-        elif optimized:
-            _render_lane_optimized(framebuffer, mode, view, starts, ends,
-                                   keys, top, lane_height)
-        else:
-            _render_lane_naive(framebuffer, mode, view, starts, ends,
-                               keys, top, lane_height)
+    grid = view.pixel_bins()
+    for core, top in enumerate(lane_tops):
+        _fill_key_runs(framebuffer, mode,
+                       mode.pixel_keys(trace, core, grid), top,
+                       lane_height)
     return framebuffer
 
 
-def _render_lane_optimized(framebuffer, mode, view, starts, ends, keys,
-                           top, lane_height):
-    pixel_keys = _predominant_keys(starts, ends, keys, view)
-    _fill_key_runs(framebuffer, mode, pixel_keys, view, top, lane_height)
-
-
-def _fill_key_runs(framebuffer, mode, pixel_keys, view, top, lane_height):
+def _fill_key_runs(framebuffer, mode, pixel_keys, top, lane_height):
     """Aggregate equal-key pixel runs into single rectangle fills
-    (Section VI-B's draw-call aggregation)."""
-    x = 0
-    width = view.width
-    while x < width:
-        key = pixel_keys[x]
-        if key < 0:
-            x += 1
-            continue
-        run_end = x + 1
-        while run_end < width and pixel_keys[run_end] == key:
-            run_end += 1
-        framebuffer.fill_rect(x, top, run_end - x, lane_height,
+    (Section VI-B's draw-call aggregation); -1 runs stay unpainted."""
+    change = np.flatnonzero(pixel_keys[1:] != pixel_keys[:-1]) + 1
+    run_starts = np.concatenate(([0], change))
+    run_ends = np.concatenate((change, [len(pixel_keys)]))
+    keys = pixel_keys[run_starts]
+    painted = keys >= 0
+    for x0, x1, key in zip(run_starts[painted].tolist(),
+                           run_ends[painted].tolist(),
+                           keys[painted].tolist()):
+        framebuffer.fill_rect(x0, top, x1 - x0, lane_height,
                               mode.color_of(key))
-        x = run_end
-
-
-def _render_lane_continuous(framebuffer, mode, view, starts, ends, values,
-                            top, lane_height):
-    pixel_values = _mean_values_per_pixel(starts, ends, values, view)
-    x = 0
-    width = view.width
-    while x < width:
-        if np.isnan(pixel_values[x]):
-            x += 1
-            continue
-        color = mode.value_color(pixel_values[x])
-        run_end = x + 1
-        while (run_end < width and not np.isnan(pixel_values[run_end])
-               and mode.value_color(pixel_values[run_end]) == color):
-            run_end += 1
-        framebuffer.fill_rect(x, top, run_end - x, lane_height, color)
-        x = run_end
-
-
-def _render_lane_naive(framebuffer, mode, view, starts, ends, keys, top,
-                       lane_height):
-    """One rectangle per event, possibly overdrawing the same pixel."""
-    for index in range(len(starts)):
-        key = int(keys[index])
-        if key < 0:
-            continue
-        x0 = view.time_to_pixel(int(starts[index]))
-        x1 = view.time_to_pixel(int(ends[index]))
-        framebuffer.fill_rect(max(x0, 0), top, max(x1 - x0, 1),
-                              lane_height, mode.color_of(key))

@@ -32,6 +32,12 @@ from .pool import MappedCachePool
 ENDPOINTS = ("open", "navigate", "render", "stats", "diff",
              "sweep-status", "close")
 
+#: Largest view geometry a session may request, in pixels: a frame is
+#: a ``height x width x 3`` byte buffer, so these cap one render at
+#: 96 MiB.
+MAX_VIEW_WIDTH = 8192
+MAX_VIEW_HEIGHT = 4096
+
 
 class ServiceError(Exception):
     """A request failure with a machine-readable code.
@@ -166,13 +172,15 @@ class TraceService:
         """``open``: start a session on a trace file.
 
         Parameters: ``path`` (required), ``width``/``height``
-        (optional view geometry).  Returns the session id, whether the
-        mapping was already resident (``shared``), topology facts and
-        the initial whole-trace view.
+        (optional view geometry, at most :data:`MAX_VIEW_WIDTH` x
+        :data:`MAX_VIEW_HEIGHT` pixels).  Returns the session id,
+        whether the mapping was already resident (``shared``),
+        topology facts and the initial whole-trace view.
         """
         path = self._check_path(params["path"])
-        width = int(params.get("width", self.width))
-        height = int(params.get("height", self.height))
+        width = _view_size(params, "width", self.width, MAX_VIEW_WIDTH)
+        height = _view_size(params, "height", self.height,
+                            MAX_VIEW_HEIGHT)
         before = self.pool.hits
         trace = self.pool.entry(path).trace
         shared = self.pool.hits > before
@@ -310,6 +318,17 @@ class TraceService:
         return {"status": "ok", "sessions": sessions,
                 "endpoints": list(ENDPOINTS),
                 "pool": self.pool.stats()}
+
+
+def _view_size(params, name, default, limit):
+    """One view dimension of a request, checked against ``1..limit``
+    before anything allocates a framebuffer of that size."""
+    size = int(params.get(name, default))
+    if not 1 <= size <= limit:
+        raise ServiceError("bad_request",
+                           "{} must be within 1..{}, got {}".format(
+                               name, limit, size))
+    return size
 
 
 class _hold_all:

@@ -12,7 +12,10 @@ Successful replies are ``200`` with the handler's JSON dict; failures
 are the :class:`~repro.service.api.ServiceError` status with a
 ``{"error": {"code", "message"}}`` body.  The protocol is HTTP/1.1
 with explicit ``Content-Length``, so clients keep connections alive —
-the 16-client benchmark and the thin client both rely on that.
+the 16-client benchmark and the thin client both rely on that.  Bodies
+longer than :data:`MAX_BODY_BYTES` (413) or with an invalid
+``Content-Length`` (400) are refused unread, and the connection is
+closed.
 
 Use :func:`create_server` + ``serve_forever`` for a foreground server
 (the CLI ``serve`` subcommand) or :func:`start_server` for a
@@ -28,6 +31,10 @@ from urllib.parse import urlparse
 
 from .api import ServiceError, TraceService
 
+#: Largest request body the server reads, in bytes; a longer declared
+#: body is refused with 413 before any of it is read.
+MAX_BODY_BYTES = 1 << 20
+
 
 class _ServiceRequestHandler(BaseHTTPRequestHandler):
     """Maps the HTTP surface onto :meth:`TraceService.handle`."""
@@ -35,13 +42,23 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
     server_version = "ReproTraceService/1.0"
     protocol_version = "HTTP/1.1"
 
-    def _reply(self, status, payload):
+    def _reply(self, status, payload, close=False):
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:
+            # Also sets close_connection: bytes of a request body left
+            # unread must not be parsed as the next request.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
+
+    def _refuse_body(self, status, message):
+        """Answer without reading the body, then drop the connection."""
+        self._reply(status, ServiceError("bad_request", message,
+                                         status=status).payload(),
+                    close=True)
 
     def do_GET(self):
         """``GET /health``: liveness + counters."""
@@ -65,6 +82,18 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
         endpoint = path[len("/api/"):].strip("/")
         try:
             length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._refuse_body(400, "Content-Length must be a "
+                                   "non-negative integer")
+            return
+        if length > MAX_BODY_BYTES:
+            self._refuse_body(413, "request body of {} bytes exceeds "
+                                   "the {}-byte limit".format(
+                                       length, MAX_BODY_BYTES))
+            return
+        try:
             params = json.loads(self.rfile.read(length) or b"{}")
         except (ValueError, TypeError):
             self._reply(400, ServiceError(

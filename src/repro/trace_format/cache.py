@@ -190,7 +190,8 @@ def write_cache(trace, cache_path, source_path=None, source_stamp=None):
                 view = TimelineView(start=trace.begin, end=trace.end,
                                     width=count, height=1)
                 xs, vmins, vmaxs = _column_extremes(
-                    lane["timestamp"], lane["value"], view, tree=tree)
+                    lane["timestamp"], lane["value"], view.pixel_bins(),
+                    tree=tree)
                 full_mins = np.full(count, np.nan, dtype=np.float64)
                 full_maxs = np.full(count, np.nan, dtype=np.float64)
                 full_mins[xs] = vmins

@@ -395,14 +395,14 @@ class TestPersistedPyramids:
                             width=64, height=32)
         served = mapped.counter_columns(0, 0, view)
         timestamps, values = mapped.counter_samples(0, 0)
-        live = _column_extremes(timestamps, values, view,
+        live = _column_extremes(timestamps, values, view.pixel_bins(),
                                 tree=mapped.minmax_tree(0, 0))
         for got, expected in zip(served, live):
             assert np.array_equal(got, expected)
 
     def test_columns_only_serve_the_exact_fit_view(self, trace_file):
-        """Shifted windows, non-tile widths and the sample-exact zoom
-        regime all fall back to the kernel (``None``)."""
+        """Shifted windows and non-tile widths fall back to the
+        kernel (``None``)."""
         from repro.render import TimelineView
         path, trace = trace_file
         mapped = self.fresh_mapping(path)

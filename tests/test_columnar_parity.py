@@ -27,8 +27,9 @@ from repro.core import index as core_index
 from repro.core import metrics, statistics
 from repro.core.derived import (AverageTaskDuration, DerivedMetricMenu,
                                 WorkersInState)
-from repro.render import (Framebuffer, StateMode, TimelineView,
-                          render_counter, render_derived_series,
+from repro.render import (TIMELINE_MODES, Framebuffer, StateMode,
+                          TimelineView, render_counter,
+                          render_derived_series,
                           render_discrete_events, render_matrix,
                           render_timeline, value_bounds)
 from repro.render import reference as render_reference
@@ -524,8 +525,8 @@ class TestRenderParity:
         trace, mapped = pair
         view = TimelineView.fit(trace, width=200,
                                 height=4 * trace.num_cores)
-        expected = render_timeline(trace, StateMode(), view,
-                                   indexed=False)
+        expected = render_reference.render_timeline(trace, StateMode(),
+                                                    view)
         for store in (trace, mapped):
             framebuffer = render_timeline(store, StateMode(), view)
             assert np.array_equal(framebuffer.pixels, expected.pixels)
@@ -544,7 +545,8 @@ class TestOverlayParity:
         yield base
         yield base.zoom(4)
         yield base.zoom(4).scroll(0.4)
-        # Zoomed below one cycle per pixel: the widened-pixel regime.
+        yield base.zoom(5)
+        # Zoomed below one cycle per pixel: pixels share one-cycle bins.
         yield base.zoom(max(trace.duration, 2))
 
     def test_counter_overlay_pixels_identical(self, pair):
@@ -735,16 +737,18 @@ class TestPyramidParity:
         yield base.zoom(max(trace.duration, 2))
 
     def test_timeline_frames_match_reference(self, tmp_path):
+        """Every timeline mode, in both zoom regimes."""
         for label, store in self.stores(tmp_path):
             for view in self.parity_views(store):
-                reference_fb = render_timeline(store, StateMode(),
-                                               view, indexed=False)
-                indexed_fb = render_timeline(store, StateMode(), view)
-                assert np.array_equal(indexed_fb.pixels,
-                                      reference_fb.pixels), (label,
-                                                             view)
-                assert indexed_fb.draw_calls == \
-                    reference_fb.draw_calls, (label, view)
+                for name, factory in sorted(TIMELINE_MODES.items()):
+                    reference_fb = render_reference.render_timeline(
+                        store, factory(), view)
+                    fb = render_timeline(store, factory(), view)
+                    where = (label, name, view)
+                    assert np.array_equal(fb.pixels,
+                                          reference_fb.pixels), where
+                    assert fb.draw_calls == reference_fb.draw_calls, \
+                        where
 
     def test_counter_frames_match_reference(self, tmp_path):
         for label, store in self.stores(tmp_path):

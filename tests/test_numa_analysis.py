@@ -30,6 +30,22 @@ class TestTaskNodeBytes:
         assert matrix.sum() == pytest.approx(float(expected))
 
 
+    def test_accesses_outside_every_region(self):
+        """Accesses that map to no NUMA node give all-zero tallies
+        (np.bincount of nothing is int64); the remote fractions and the
+        NUMA heatmap still work."""
+        from repro.core import TopologyInfo, TraceBuilder
+        from repro.render import NumaHeatmapMode, render_timeline
+        builder = TraceBuilder(TopologyInfo(2, 1))
+        builder.task_execution(0, 0, 0, 0, 100)
+        builder.memory_access(0, 0, address=0x1234, size=64,
+                              is_write=False, timestamp=10)
+        trace = builder.build()
+        assert (task_node_bytes(trace, "any") == 0).all()
+        assert list(task_remote_fractions(trace)) == [0.0]
+        assert render_timeline(trace, NumaHeatmapMode()).rect_calls == 1
+
+
 class TestPredominantNodes:
     def test_aligned_with_task_table(self, seidel_trace_small):
         trace = seidel_trace_small

@@ -10,8 +10,7 @@ from repro.core.pyramid import tile_level_counts
 from repro.render import (Framebuffer, StateMode, TimelineView,
                           render_counter, render_timeline)
 from repro.render import reference as render_reference
-from repro.render.counter_overlay import (_column_extremes,
-                                          _column_extremes_zoomed)
+from repro.render.counter_overlay import _column_extremes
 from trace_gen import make_random_trace
 
 
@@ -52,6 +51,13 @@ def materialize(items):
             np.asarray(states, dtype=np.int64))
 
 
+def pixel_keys(index, view):
+    """Dominant state per pixel: the per-bin kernel gathered onto the
+    view's pixels, as the state mode serves it."""
+    edges, column = view.pixel_bins()
+    return index.dominant_in_edges(edges)[column]
+
+
 class TestStateIndex:
     @given(items=lane_strategy(), start=st.integers(0, 500),
            span=st.integers(1, 700), width=st.integers(1, 64))
@@ -62,7 +68,7 @@ class TestStateIndex:
         index = StateIndex.build(starts, ends, states)
         assert index is not None
         view = TimelineView(start, start + span, width=width, height=8)
-        keys = index.pixel_keys(view)
+        keys = pixel_keys(index, view)
         for x in range(width):
             t0, t1 = view.pixel_interval(x)
             assert keys[x] == brute_dominant(starts, ends, states,
@@ -83,7 +89,7 @@ class TestStateIndex:
         index = StateIndex.build(starts, ends, states)
         assert index is not None
         view = TimelineView(0, 15, width=3, height=8)
-        assert list(index.pixel_keys(view)) == [1, 1, 2]
+        assert list(pixel_keys(index, view)) == [1, 1, 2]
 
     def test_negative_states_never_dominate(self):
         starts = np.asarray([0, 10], dtype=np.int64)
@@ -91,14 +97,14 @@ class TestStateIndex:
         states = np.asarray([-1, 3], dtype=np.int64)
         index = StateIndex.build(starts, ends, states)
         view = TimelineView(0, 20, width=2, height=8)
-        assert list(index.pixel_keys(view)) == [-1, 3]
+        assert list(pixel_keys(index, view)) == [-1, 3]
 
     def test_empty_lane(self):
         empty = np.empty(0, dtype=np.int64)
         index = StateIndex.build(empty, empty, empty)
         assert index is not None
         view = TimelineView(0, 100, width=10, height=8)
-        assert (index.pixel_keys(view) == -1).all()
+        assert (pixel_keys(index, view) == -1).all()
 
 
 class TestStateTiles:
@@ -174,10 +180,9 @@ class TestFromLevels:
 
 
 class TestDeepZoomCounterKernel:
-    """The gather-based deep-zoom kernel must match the scalar
-    per-pixel loop bit for bit (satellite: `_pixel_edges` is only a
-    partition when duration >= width — the widened-interval regime
-    needs its own kernel)."""
+    """The batched counter kernel must match the scalar per-pixel loop
+    bit for bit in both zoom regimes: below one cycle per pixel,
+    neighbouring pixels share a one-cycle bin of the pixel grid."""
 
     @given(samples=st.lists(st.tuples(st.integers(0, 300),
                                       st.floats(-1e6, 1e6,
@@ -193,12 +198,8 @@ class TestDeepZoomCounterKernel:
                                 dtype=np.int64)
         values = np.asarray([v for __, v in samples], dtype=np.float64)
         view = TimelineView(start, start + span, width=width, height=16)
-        if view.duration >= view.width:
-            xs, vmins, vmaxs = _column_extremes(timestamps, values,
-                                                view)
-        else:
-            xs, vmins, vmaxs = _column_extremes_zoomed(timestamps,
-                                                       values, view)
+        xs, vmins, vmaxs = _column_extremes(timestamps, values,
+                                            view.pixel_bins())
         columns = {}
         for x in range(view.width):
             t0, t1 = view.pixel_interval(x)
@@ -242,9 +243,10 @@ class TestEmptyLaneGuards:
 
     def test_kernels_accept_empty_lane(self):
         timestamps, values = self.empty_timestamps()
-        view = TimelineView(0, 1000, width=50, height=20)
-        for kernel in (_column_extremes, _column_extremes_zoomed):
-            xs, vmins, vmaxs = kernel(timestamps, values, view)
+        for view in (TimelineView(0, 1000, width=50, height=20),
+                     TimelineView(0, 10, width=50, height=20)):
+            xs, vmins, vmaxs = _column_extremes(timestamps, values,
+                                                view.pixel_bins())
             assert len(xs) == len(vmins) == len(vmaxs) == 0
 
     def test_render_empty_core_draws_nothing(self):
@@ -269,20 +271,20 @@ class TestIndexedTimeline:
         views = (base, base.zoom(6),
                  base.zoom(max(trace.duration, 2)))
         for view in views:
-            reference = render_timeline(trace, StateMode(), view,
-                                        indexed=False)
+            reference = render_reference.render_timeline(
+                trace, StateMode(), view)
             fb = render_timeline(trace, StateMode(), view)
             assert np.array_equal(fb.pixels, reference.pixels), view
             assert fb.draw_calls == reference.draw_calls, view
 
     def test_unindexable_lane_falls_back(self):
         """Lanes whose index cannot be built (within-state overlap)
-        render through the reference path instead of wrong pixels."""
+        render through the lane scan instead of wrong pixels."""
         trace = make_random_trace(13, events_per_core=30)
         view = TimelineView.fit(trace, width=64,
                                 height=4 * trace.num_cores)
-        reference = render_timeline(trace, StateMode(), view,
-                                    indexed=False)
+        reference = render_reference.render_timeline(trace, StateMode(),
+                                                     view)
         # Poison the memoized indexes the way an unindexable lane
         # would: state_index(core) -> None for every core.
         trace._state_indexes = {core: None

@@ -8,6 +8,7 @@ from repro.render import (Framebuffer, TimelineView, histogram_to_text,
                           matrix_to_text, render_counter,
                           render_counter_rate, render_histogram,
                           render_matrix, value_bounds)
+from repro.render import reference as render_reference
 
 
 def counter_trace(samples):
@@ -47,7 +48,8 @@ class TestRenderCounter:
         trace = counter_trace(samples)
         view = TimelineView(0, 100, width=50, height=20)
         fb = Framebuffer(50, 20)
-        calls = render_counter(trace, 0, view, fb, optimized=False)
+        calls = render_reference.render_counter_per_sample(trace, 0, view,
+                                                           fb)
         assert calls == len(samples) - 1
 
     def test_optimized_cheaper_when_samples_dense(self):
@@ -55,7 +57,8 @@ class TestRenderCounter:
         trace = counter_trace(samples)
         view = TimelineView(0, 2000, width=100, height=40)
         naive_fb = Framebuffer(100, 40)
-        naive = render_counter(trace, 0, view, naive_fb, optimized=False)
+        naive = render_reference.render_counter_per_sample(trace, 0, view,
+                                                           naive_fb)
         fast_fb = Framebuffer(100, 40)
         fast = render_counter(trace, 0, view, fast_fb)
         assert fast < naive

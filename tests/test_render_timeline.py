@@ -8,7 +8,14 @@ from hypothesis import given, settings, strategies as st
 from repro.core import TopologyInfo, TraceBuilder, WorkerState
 from repro.render import (HeatmapMode, NumaHeatmapMode, NumaMode, StateMode,
                           TimelineView, TypeMode, render_timeline, state_color)
+from repro.render import reference as render_reference
 from repro.render.timeline import _predominant_keys
+
+
+def pixel_keys(starts, ends, keys, view):
+    """The per-bin kernel gathered onto the view's pixels."""
+    edges, column = view.pixel_bins()
+    return _predominant_keys(starts, ends, keys, edges)[column]
 
 
 class TestTimelineView:
@@ -26,6 +33,27 @@ class TestTimelineView:
             assert t1 > t0
             cursor = t1
         assert cursor == 1000
+
+    @given(start=st.integers(-10**6, 10**6),
+           duration=st.integers(1, 5000),
+           width=st.integers(1, 3000))
+    @settings(max_examples=300, deadline=None)
+    def test_pixel_bins_partition_the_view(self, start, duration, width):
+        """Strictly increasing bin edges from start to end, and every
+        pixel's interval is exactly its bin — in both zoom regimes."""
+        view = TimelineView(start, start + duration, width=width,
+                            height=1)
+        edges, column = view.pixel_bins()
+        assert edges[0] == view.start and edges[-1] == view.end
+        assert (np.diff(edges) > 0).all()
+        assert len(column) == width
+        for x in range(width):
+            assert view.pixel_interval(x) == (
+                edges[column[x]], edges[column[x] + 1]), x
+        if duration >= width:
+            assert list(column) == list(range(width))
+        else:
+            assert list(np.diff(edges)) == [1] * duration
 
     def test_zoom_in_narrows_span(self):
         view = TimelineView(0, 1000, width=10, height=10)
@@ -81,7 +109,7 @@ class TestPredominantKeys:
         starts = np.asarray([20])
         ends = np.asarray([50])
         keys = np.asarray([3])
-        pixels = _predominant_keys(starts, ends, keys, view)
+        pixels = pixel_keys(starts, ends, keys, view)
         assert list(pixels[2:5]) == [3, 3, 3]
         assert (pixels[:2] == -1).all()
         assert (pixels[5:] == -1).all()
@@ -91,12 +119,13 @@ class TestPredominantKeys:
         starts = np.asarray([0, 60])
         ends = np.asarray([60, 100])
         keys = np.asarray([1, 2])
-        assert _predominant_keys(starts, ends, keys, view)[0] == 1
+        assert pixel_keys(starts, ends, keys, view)[0] == 1
 
     @given(seed=st.integers(min_value=0, max_value=1000),
-           width=st.integers(min_value=1, max_value=40))
-    @settings(max_examples=80, deadline=None)
-    def test_matches_brute_force(self, seed, width):
+           width=st.integers(min_value=1, max_value=40),
+           zoom=st.sampled_from([1, 4, 1000]))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_brute_force(self, seed, width, zoom):
         rng = np.random.default_rng(seed)
         cursor = 0
         starts, ends, keys = [], [], []
@@ -107,11 +136,13 @@ class TestPredominantKeys:
             ends.append(cursor + duration)
             keys.append(int(rng.integers(0, 4)))
             cursor += duration
-        view = TimelineView(0, max(cursor, 1) + 10, width=width, height=4)
+        # zoom=1000 puts the view below one cycle per pixel.
+        view = TimelineView(0, max(cursor, 1) + 10, width=width,
+                            height=4).zoom(zoom)
         starts = np.asarray(starts, dtype=np.int64)
         ends = np.asarray(ends, dtype=np.int64)
         keys = np.asarray(keys, dtype=np.int64)
-        fast = _predominant_keys(starts, ends, keys, view)
+        fast = pixel_keys(starts, ends, keys, view)
         slow = self.brute_force(starts, ends, keys, view)
         assert (fast == slow).all()
 
@@ -144,13 +175,15 @@ class TestStateMode:
         assert fb.rect_calls == 2
 
     def test_naive_mode_draws_per_event(self, seidel_trace_small):
+        """The Fig. 20 baseline draws one rectangle per event; the
+        renderer draws fewer."""
         view = TimelineView.fit(seidel_trace_small, 300, 120)
-        optimized = render_timeline(seidel_trace_small, StateMode(), view,
-                                    optimized=True)
-        naive = render_timeline(seidel_trace_small, StateMode(), view,
-                                optimized=False)
+        aggregated = render_timeline(seidel_trace_small, StateMode(),
+                                     view)
+        naive = render_reference.render_timeline_per_event(
+            seidel_trace_small, StateMode(), view)
         assert naive.rect_calls == len(seidel_trace_small.states)
-        assert optimized.rect_calls < naive.rect_calls
+        assert aggregated.rect_calls < naive.rect_calls
 
     def test_all_modes_render_real_trace(self, seidel_trace_small):
         view = TimelineView.fit(seidel_trace_small, 200, 100)

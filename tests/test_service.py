@@ -8,7 +8,9 @@ clients), and the CLI's `serve`/`--remote` integration.
 """
 
 import base64
+import http.client
 import importlib.util
+import json
 import os
 import pathlib
 import struct
@@ -19,6 +21,8 @@ import pytest
 
 from repro.service import (MappedCachePool, ServiceClient, ServiceError,
                            TraceService, start_server)
+from repro.service.api import MAX_VIEW_HEIGHT, MAX_VIEW_WIDTH
+from repro.service.server import MAX_BODY_BYTES
 from repro.trace_format.synthesize import write_synthetic_trace
 
 CLI_PATH = (pathlib.Path(__file__).parent.parent / "examples"
@@ -283,6 +287,22 @@ class TestServiceErrors:
         self.expect(service, "sweep-status",
                     {"directory": "/outside/suite"}, "forbidden", 403)
 
+    def test_view_geometry_is_bounded(self, service, trace_dir):
+        """Out-of-range sizes fail before any framebuffer exists."""
+        path = str(trace_dir / "a.ost")
+        for geometry in ({"width": 0}, {"width": -5}, {"height": 0},
+                         {"width": MAX_VIEW_WIDTH + 1},
+                         {"height": MAX_VIEW_HEIGHT + 1},
+                         {"width": 10**9, "height": 10**9},
+                         {"width": "wide"}):
+            self.expect(service, "open", dict(path=path, **geometry),
+                        "bad_request", 400)
+        opened = service.handle("open", {"path": path,
+                                         "width": MAX_VIEW_WIDTH,
+                                         "height": 1})
+        assert opened["view"]["width"] == MAX_VIEW_WIDTH
+        assert opened["view"]["height"] == 1
+
     def test_missing_journal_is_queue_error(self, service, trace_dir):
         empty = trace_dir / "empty"
         empty.mkdir(exist_ok=True)
@@ -335,6 +355,53 @@ class TestHttpTransport:
         with pytest.raises(ServiceError) as excinfo:
             client._roundtrip("POST", "/api/open", b"{broken")
         assert excinfo.value.code == "bad_request"
+        client.close_connection()
+
+    def raw_post(self, server, headers):
+        """POST /api/open with raw headers and no body; returns the
+        response status, its JSON body, and whether the server then
+        closed the connection."""
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            connection.putrequest("POST", "/api/open")
+            for name, value in headers.items():
+                connection.putheader(name, value)
+            connection.endheaders()
+            # A duplicate of the socket outlives http.client's own
+            # close, so it can observe the server hanging up.
+            raw = connection.sock.dup()
+            response = connection.getresponse()
+            payload = json.loads(response.read())
+            closed = (response.will_close and raw.recv(1) == b"")
+            raw.close()
+            return response.status, payload, closed
+        finally:
+            connection.close()
+
+    def test_oversized_body_is_refused_unread(self, server):
+        status, payload, closed = self.raw_post(
+            server, {"Content-Length": str(MAX_BODY_BYTES + 1)})
+        assert status == 413
+        assert payload["error"]["code"] == "bad_request"
+        assert closed
+
+    def test_invalid_content_length_is_refused(self, server):
+        for length in ("-1", "ten"):
+            status, payload, closed = self.raw_post(
+                server, {"Content-Length": length})
+            assert status == 400, length
+            assert payload["error"]["code"] == "bad_request"
+            assert closed, length
+
+    def test_body_at_the_limit_is_read(self, server):
+        """A body of exactly the limit is parsed, not refused."""
+        client = ServiceClient(server.url)
+        body = b"{}" + b" " * (MAX_BODY_BYTES - 2)
+        with pytest.raises(ServiceError) as excinfo:
+            client._roundtrip("POST", "/api/open", body)
+        assert excinfo.value.status == 400    # missing ``path``
+        assert "path" in str(excinfo.value)
         client.close_connection()
 
     def test_client_reconnects_after_a_dropped_connection(self, server,
